@@ -105,6 +105,9 @@ def parse_variants(names) -> list[Variant]:
 
 def parse_tree_section(doc: dict, variant: Variant, seed: int) -> TreeConfig:
     """Omitted fields default to the benchmark settings."""
+    if doc.get("ascend_errors", False):
+        raise UsageError("tree.ascend_errors is not supported: leaf models "
+                         "always descend the squared error")
     try:
         return TreeConfig(
             variant=variant,
@@ -114,7 +117,6 @@ def parse_tree_section(doc: dict, variant: Variant, seed: int) -> TreeConfig:
             learning_rate=float(doc.get("learning_rate", 0.01)),
             warm_start=int(doc.get("warm_start", 200)),
             seed=seed,
-            ascend_errors=bool(doc.get("ascend_errors", False)),
         )
     except ValueError as exc:
         raise UsageError(f"bad tree section: {exc}") from exc
@@ -187,6 +189,7 @@ def cmd_run(args) -> int:
     datasets = _dataset_entries(doc)
     variants = parse_variants(doc.get("variants"))
     tree_doc = doc.get("tree", {})
+    parse_tree_section(tree_doc, variants[0], args.seed)  # exit 2 before any cell runs
     preq = parse_evaluation_section(doc.get("evaluation", {}), tree_doc, args.seed)
 
     payloads = [

@@ -48,9 +48,7 @@ class AffineLayer:
     """Dense affine map with a leading bias column; one output row per target.
 
     The bias input is fixed at 1. `update` applies one delta-rule step toward
-    the supplied standardized targets using the layer's own current output;
-    `ascend=True` flips the error sign (kept for comparison runs, it climbs
-    the squared error instead of descending it).
+    the supplied standardized targets using the layer's own current output.
     """
 
     __slots__ = ("weights",)
@@ -76,19 +74,13 @@ class AffineLayer:
     def predict_aug(self, aug: np.ndarray) -> np.ndarray:
         return self.weights @ aug
 
-    def update(self, inputs, targets_std, learning_rate: float,
-               ascend: bool = False) -> None:
-        self.update_aug(self.augment(inputs), np.asarray(targets_std),
-                        learning_rate, ascend)
+    def update(self, inputs, targets_std, learning_rate: float) -> None:
+        self.update_aug(self.augment(inputs), np.asarray(targets_std), learning_rate)
 
     def update_aug(self, aug: np.ndarray, targets_std: np.ndarray,
-                   learning_rate: float, ascend: bool = False) -> None:
-        error = self.weights @ aug
-        if ascend:
-            error -= targets_std
-        else:
-            error = targets_std - error
-        self.weights += np.outer(error * learning_rate, aug)
+                   learning_rate: float) -> None:
+        error = targets_std - self.weights @ aug
+        self.weights += (error * learning_rate)[:, None] * aug
 
     def copy(self) -> "AffineLayer":
         return AffineLayer(self.weights.copy())
@@ -144,16 +136,14 @@ class LeafPredictorSet:
     """
 
     __slots__ = ("variant", "n_features", "n_targets", "base", "meta",
-                 "fmae", "learning_rate", "ascend")
+                 "fmae", "learning_rate")
 
     def __init__(self, variant: Variant, n_features: int, n_targets: int,
-                 learning_rate: float, rng: np.random.Generator,
-                 ascend: bool = False):
+                 learning_rate: float, rng: np.random.Generator):
         self.variant = variant
         self.n_features = n_features
         self.n_targets = n_targets
         self.learning_rate = learning_rate
-        self.ascend = ascend
         self.base = AffineLayer.random(n_targets, n_features, rng) \
             if variant.has_base_layer else None
         self.meta = AffineLayer.random(n_targets, n_targets, rng) \
@@ -168,7 +158,6 @@ class LeafPredictorSet:
         child.n_features = self.n_features
         child.n_targets = self.n_targets
         child.learning_rate = self.learning_rate
-        child.ascend = self.ascend
         child.base = self.base.copy() if self.base is not None else None
         child.meta = self.meta.copy() if self.meta is not None else None
         child.fmae = {name: FadedError(self.n_targets) for name in self.variant.scored}
@@ -238,8 +227,8 @@ class LeafPredictorSet:
         y = np.asarray(y_std)
         if self.meta is not None:
             base_aug = AffineLayer.augment(base.predict_aug(x_aug))
-            self.meta.update_aug(base_aug, y, self.learning_rate, self.ascend)
-        base.update_aug(x_aug, y, self.learning_rate, self.ascend)
+            self.meta.update_aug(base_aug, y, self.learning_rate)
+        base.update_aug(x_aug, y, self.learning_rate)
 
     def weight_slots(self) -> int:
         slots = 0

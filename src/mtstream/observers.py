@@ -1,14 +1,13 @@
 """Per-feature split-candidate observers.
 
-Numeric features are tracked with an extended binary search tree keyed on the
-observed values: one node per distinct value, each accumulating the count,
-per-target sum, and per-target sum of squares of the examples carrying that
-exact value. Scanning candidates orders the keys and prefix-sums the node
-aggregates, which reconstructs, for every observed value as a `v <= key`
-threshold, the exact left/right partition statistics. The tree itself exists
-to fold duplicate values in O(depth) on the per-example path; node data lives
-in flat arrays so the every-200-examples scan is a handful of vectorized
-passes instead of a pointer walk.
+Numeric features are tracked per distinct observed value: one row per value,
+accumulating the count, per-target sum, and per-target sum of squares of the
+examples carrying that exact value. A hash index from value to row folds
+duplicates in O(1) on the per-example path; rows and keys stay in first-seen
+order in flat arrays. Scanning candidates sorts the keys and prefix-sums the
+rows in key order, which reconstructs, for every observed value as a
+`v <= key` threshold, the exact left/right partition statistics in a handful
+of vectorized passes.
 
 Nominal features keep one aggregate triple per observed category and propose
 a single multiway split over the declared category set.
@@ -58,6 +57,12 @@ def variance_reduction(parent, children) -> float:
     return merit
 
 
+def moment_row(y) -> np.ndarray:
+    """The (1, y, y^2) row one example adds to an observer's aggregates;
+    fastest when `y` holds Python floats."""
+    return np.array([1.0, *y, *[v * v for v in y]])
+
+
 @dataclass
 class SplitSuggestion:
     """One candidate split of a leaf.
@@ -78,74 +83,44 @@ class SplitSuggestion:
 
 
 class EBSTObserver:
-    """Numeric attribute observer: a binary search tree over distinct values
-    with flat per-node aggregate storage."""
+    """Numeric attribute observer: a hash index over distinct values with flat
+    per-value aggregate rows, scanned as sorted prefix sums.
 
-    __slots__ = ("n_targets", "row_width", "keys", "left", "right", "rows",
-                 "node_count")
+    The class keeps the FIMT-DD name (extended binary search tree) because it
+    answers the same queries; the sorted order is built at scan time instead
+    of being maintained on every insert. Values must be finite: a NaN never
+    equals itself, so each one would take a fresh row.
+    """
+
+    __slots__ = ("n_targets", "row_width", "index", "keys", "rows", "node_count")
 
     def __init__(self, n_targets: int):
         self.n_targets = n_targets
         self.row_width = 1 + 2 * n_targets  # count, sums, sums of squares
-        self.keys: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
+        self.index: dict[float, int] = {}  # first-seen value -> row
+        self.keys = np.empty(16)  # row i holds the examples with value keys[i]
         self.rows = np.zeros((16, self.row_width))
         self.node_count = 0
 
-    def _aug_row(self, y) -> np.ndarray:
-        row = np.empty(self.row_width)
-        row[0] = 1.0
-        d = self.n_targets
-        for t in range(d):
-            v = y[t]
-            row[1 + t] = v
-            row[1 + d + t] = v * v
-        return row
-
     def insert(self, v: float, y) -> None:
         """Fold one (value, target-vector) pair into the observer."""
-        self.insert_row(v, self._aug_row(y))
+        self.insert_row(v, moment_row(np.asarray(y, dtype=float).tolist()))
 
     def insert_row(self, v: float, aug: np.ndarray) -> None:
         """Hot-path insert: `aug` is the precomputed (1, y, y^2) row, shared
         across every observer fed by the same example."""
-        if self.node_count == 0:
-            self._append(v, aug)
+        i = self.index.get(v)
+        if i is not None:
+            self.rows[i] += aug
             return
-        keys = self.keys
-        left = self.left
-        right = self.right
-        i = 0
-        while True:
-            k = keys[i]
-            if v < k:
-                j = left[i]
-                if j < 0:
-                    left[i] = self._append(v, aug)
-                    return
-            elif v > k:
-                j = right[i]
-                if j < 0:
-                    right[i] = self._append(v, aug)
-                    return
-            else:
-                self.rows[i] += aug
-                return
-            i = j
-
-    def _append(self, v: float, aug: np.ndarray) -> int:
         n = self.node_count
-        if n == len(self.rows):
-            grown = np.zeros((2 * n, self.row_width))
-            grown[:n] = self.rows
-            self.rows = grown
+        if n == len(self.keys):
+            self.keys = np.concatenate((self.keys, np.empty(n)))
+            self.rows = np.concatenate((self.rows, np.zeros((n, self.row_width))))
+        self.index[v] = n
+        self.keys[n] = v
         self.rows[n] = aug
-        self.keys.append(v)
-        self.left.append(-1)
-        self.right.append(-1)
         self.node_count = n + 1
-        return n
 
     @property
     def distinct_keys(self) -> int:
@@ -155,32 +130,33 @@ class EBSTObserver:
         """Vectorized candidate evaluation.
 
         Returns (keys, merits, valid, prefix) over thresholds in increasing
-        key order, where prefix[i] aggregates every example with value <=
-        keys[i], or None below two distinct keys. The right-hand side of each
-        candidate is the parent aggregate minus the prefix; candidates need
-        at least one example per side.
+        key order, where column prefix[:, i] aggregates every example with
+        value <= keys[i], or None below two distinct keys. The right-hand
+        side of each candidate is the parent aggregate minus the prefix;
+        candidates need at least one example per side.
         """
         n = self.node_count
         if n < 2:
             return None
         d = self.n_targets
-        keys = np.asarray(self.keys)
+        keys = self.keys[:n]
         order = np.argsort(keys)  # distinct keys: total order
         keys = keys[order]
-        prefix = np.cumsum(self.rows[:n][order], axis=0)
+        # (1 + 2d, n): one contiguous row per moment, columns in key order
+        prefix = np.cumsum(np.take(self.rows[:n].T, order, axis=1), axis=1)
 
         parent_cnt = parent[0]
         parent_sums = np.asarray(parent[1])
         parent_sumsqs = np.asarray(parent[2])
 
-        left_cnt = prefix[:, 0]
+        left_cnt = prefix[0]
         right_cnt = parent_cnt - left_cnt
         valid = (left_cnt >= 1.0) & (right_cnt >= 1.0)
 
-        left_sums = prefix[:, 1:1 + d]
-        left_sumsqs = prefix[:, 1 + d:]
-        right_sums = parent_sums - left_sums
-        right_sumsqs = parent_sumsqs - left_sumsqs
+        left_sums = prefix[1:1 + d]
+        left_sumsqs = prefix[1 + d:]
+        right_sums = parent_sums[:, None] - left_sums
+        right_sumsqs = parent_sumsqs[:, None] - left_sumsqs
 
         merits = (
             intra_cluster_variance(parent_cnt, parent_sums, parent_sumsqs)
@@ -197,21 +173,11 @@ class EBSTObserver:
         if scan is None:
             return []
         keys, merits, valid, prefix = scan
-        d = self.n_targets
-        parent_cnt = parent[0]
-        parent_sums = parent[1]
-        parent_sumsqs = parent[2]
         out = []
         for i in range(len(keys)):
-            if not valid[i]:
-                continue
-            left = (float(prefix[i, 0]),
-                    tuple(prefix[i, 1:1 + d].tolist()),
-                    tuple(prefix[i, 1 + d:].tolist()))
-            right = (parent_cnt - left[0],
-                     tuple(p - l for p, l in zip(parent_sums, left[1])),
-                     tuple(p - l for p, l in zip(parent_sumsqs, left[2])))
-            out.append((float(keys[i]), float(merits[i]), left, right))
+            if valid[i]:
+                left, right = self._partition(parent, prefix, i)
+                out.append((float(keys[i]), float(merits[i]), left, right))
         return out
 
     def best_splits(self, feature: int, parent):
@@ -232,28 +198,33 @@ class EBSTObserver:
             second = self._suggestion(feature, parent, keys, merits, prefix, i2)
         return best, second
 
-    def _suggestion(self, feature, parent, keys, merits, prefix, i) -> SplitSuggestion:
+    def _partition(self, parent, prefix, i):
+        """(left, right) aggregate triples of the threshold in column i."""
         d = self.n_targets
-        left = (float(prefix[i, 0]),
-                tuple(prefix[i, 1:1 + d].tolist()),
-                tuple(prefix[i, 1 + d:].tolist()))
+        column = prefix[:, i].tolist()
+        left = (column[0], tuple(column[1:1 + d]), tuple(column[1 + d:]))
         right = (parent[0] - left[0],
                  tuple(p - l for p, l in zip(parent[1], left[1])),
                  tuple(p - l for p, l in zip(parent[2], left[2])))
+        return left, right
+
+    def _suggestion(self, feature, parent, keys, merits, prefix, i) -> SplitSuggestion:
         return SplitSuggestion(feature=feature, merit=float(merits[i]),
-                               threshold=float(keys[i]), child_stats=[left, right])
+                               threshold=float(keys[i]),
+                               child_stats=list(self._partition(parent, prefix, i)))
 
     def key_ordered_dump(self) -> list:
-        """(key, count, sums, sumsqs) rows in increasing key order."""
+        """(key, count, sums, sumsqs) rows in increasing key order; each key
+        is the first-seen object of its value."""
         n = self.node_count
         if n == 0:
             return []
-        order = np.argsort(np.asarray(self.keys))
+        first_seen = list(self.index)
         d = self.n_targets
         out = []
-        for i in order:
+        for i in np.argsort(self.keys[:n]):
             row = self.rows[i]
-            out.append([self.keys[i], float(row[0]),
+            out.append([first_seen[i], float(row[0]),
                         row[1:1 + d].tolist(), row[1 + d:].tolist()])
         return out
 
@@ -263,13 +234,15 @@ class EBSTObserver:
 
 
 def _icvar_rows(cnt: np.ndarray, sums: np.ndarray, sumsqs: np.ndarray) -> np.ndarray:
-    """Row-wise intra-cluster variance for (n,) counts and (n, d) moments."""
+    """Per-candidate intra-cluster variance for (n,) counts and (d, n)
+    moments. The per-target variances are added in target order, the order
+    of `intra_cluster_variance`."""
     denom = np.where(cnt > 1.0, cnt - 1.0, 1.0)
     safe_cnt = np.where(cnt > 0.0, cnt, 1.0)
-    var = (sumsqs - sums * sums / safe_cnt[:, None]) / denom[:, None]
-    var = np.maximum(var, 0.0)
-    var[cnt < 2.0] = 0.0
-    return var.mean(axis=1)
+    var = (sumsqs - sums * sums / safe_cnt) / denom
+    np.maximum(var, 0.0, out=var)
+    var[:, cnt < 2.0] = 0.0
+    return var.sum(axis=0) / len(var)
 
 
 class NominalObserver:

@@ -50,6 +50,7 @@ class StreamSchema:
         if len(set(names)) != len(names):
             raise SchemaError("feature and target names must be unique")
         object.__setattr__(self, "_nominal_cache", self._nominal_slots())
+        object.__setattr__(self, "_numeric_cache", tuple(self.numeric_indices()))
 
     @property
     def n_features(self) -> int:
@@ -89,7 +90,29 @@ class StreamSchema:
                 )
 
     def targets_finite(self, inst: "Instance") -> bool:
-        return all(math.isfinite(t) for t in inst.targets)
+        return all(map(math.isfinite, inst.targets))
+
+    def features_finite(self, inst: "Instance") -> bool:
+        """False when a numeric feature holds NaN or an infinity."""
+        features = inst.features
+        isfinite = math.isfinite
+        for i in self._numeric_cache:
+            v = features[i]
+            if v is not None and not isfinite(v):
+                return False
+        return True
+
+    def nonfinite_as_missing(self, inst: "Instance") -> "Instance":
+        """`inst` itself, or a copy with every non-finite numeric feature
+        replaced by None."""
+        if self.features_finite(inst):
+            return inst
+        features = list(inst.features)
+        for i in self._numeric_cache:
+            v = features[i]
+            if v is not None and not math.isfinite(v):
+                features[i] = None
+        return Instance(features=tuple(features), targets=inst.targets)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .leaf_models import LeafPredictorSet
-from .observers import EBSTObserver, NominalObserver
+from .observers import EBSTObserver, NominalObserver, moment_row
 from .schema import NOMINAL, Instance, Prediction, StreamSchema, Variant
 from .splitting import HoeffdingParams, MeritRatio, decide_split
 from .stats import RunningStats, VectorStats
@@ -46,7 +46,6 @@ class TreeConfig:
     learning_rate: float = 0.01
     warm_start: int = 200
     seed: int = 0
-    ascend_errors: bool = False  # printed-form delta rule, for comparison only
 
     def hoeffding_params(self) -> HoeffdingParams:
         return HoeffdingParams(delta=self.delta, tau=self.tau,
@@ -116,7 +115,7 @@ class MultiTargetHoeffdingTree:
                             self.schema.n_targets)
         predictors = LeafPredictorSet(
             self.config.variant, self.schema.n_features, self.schema.n_targets,
-            self.config.learning_rate, self.rng, self.config.ascend_errors)
+            self.config.learning_rate, self.rng)
         return LeafNode(stats, self._new_observers(), predictors)
 
     def _child_leaf(self, parent: LeafNode, seed_stats) -> LeafNode:
@@ -171,16 +170,18 @@ class MultiTargetHoeffdingTree:
     # -- the learner contract ----------------------------------------------
 
     def predict(self, instance: Instance) -> Prediction:
-        """Pure prediction: d finite values, no state change."""
+        """Pure prediction: d finite values, no state change. Non-finite
+        numeric features count as missing."""
         self.schema.validate_instance(instance)
+        instance = self.schema.nonfinite_as_missing(instance)
         leaf = self.route(instance)
         x_std = leaf.stats.standardize_features(instance.features)
         return leaf.predictors.select_and_predict(x_std, leaf.stats)
 
     def learn(self, instance: Instance) -> None:
         """Fold one example into exactly one leaf; attempt a split when that
-        leaf's counter reaches the grace period. Non-finite targets are
-        rejected and counted, never learned."""
+        leaf's counter reaches the grace period. Examples with a non-finite
+        target or numeric feature are rejected and counted, never learned."""
         self._learn_impl(instance, want_prediction=False)
 
     def predict_then_learn(self, instance: Instance) -> Prediction:
@@ -190,8 +191,9 @@ class MultiTargetHoeffdingTree:
         return self._learn_impl(instance, want_prediction=True)
 
     def _learn_impl(self, instance: Instance, want_prediction: bool):
-        self.schema.validate_instance(instance)
-        if not self.schema.targets_finite(instance):
+        schema = self.schema
+        schema.validate_instance(instance)
+        if not (schema.targets_finite(instance) and schema.features_finite(instance)):
             self.rejected_count += 1
             return self.predict(instance) if want_prediction else None
         leaf, parent, child_index = self._route_with_parent(instance)
@@ -205,16 +207,15 @@ class MultiTargetHoeffdingTree:
 
         leaf.stats.update_targets(y)
         features = instance.features
+        update_feature = leaf.stats.update_feature
         for i in self._numeric:
             v = features[i]
             if v is not None:
-                leaf.stats.update_feature(i, v)
-        aug = self._aug_row(y)  # shared (1, y, y^2) row for every observer
-        for i, obs in enumerate(leaf.observers):
-            v = features[i]
-            if v is None:
-                continue  # missing values never reach the observers
-            obs.insert_row(v, aug)
+                update_feature(i, v)
+        aug = moment_row(y)  # shared by every observer
+        for obs, v in zip(leaf.observers, features):
+            if v is not None:  # missing values never reach the observers
+                obs.insert_row(v, aug)
 
         x_std = leaf.stats.standardize_features(features)
         y_std = leaf.stats.standardize_targets(y)
@@ -230,15 +231,6 @@ class MultiTargetHoeffdingTree:
         return prediction
 
     # -- splitting -----------------------------------------------------------
-
-    def _aug_row(self, y) -> np.ndarray:
-        d = self.schema.n_targets
-        row = np.empty(1 + 2 * d)
-        row[0] = 1.0
-        vals = np.asarray(y, dtype=float)
-        row[1:1 + d] = vals
-        row[1 + d:] = vals * vals
-        return row
 
     def _parent_triple(self, leaf: LeafNode):
         targets = leaf.stats.targets

@@ -88,6 +88,12 @@ class TestRun:
         assert main(["run", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_ascend_errors_exits_2(self, tmp_path):
+        cfg = run_config(tmp_path, tree={"ascend_errors": True})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 2
+        assert not out.exists()
+
     def test_unknown_variant_exits_2(self, tmp_path):
         cfg = run_config(tmp_path, variants=("turbo",))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -131,7 +137,7 @@ class TestConfigDefaulting:
         tree = parse_tree_section({}, Variant.MEAN, seed=0)
         assert (tree.delta, tree.tau, tree.grace_period) == (1e-7, 0.05, 200)
         assert (tree.learning_rate, tree.warm_start) == (0.01, 200)
-        assert tree.ascend_errors is False
+        assert not hasattr(tree, "ascend_errors")
 
         evaluation = parse_evaluation_section({}, {}, base_seed=5)
         assert evaluation.window == 200

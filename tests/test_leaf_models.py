@@ -37,11 +37,6 @@ class TestAffineUpdate:
         layer.update(x, layer.predict(x), learning_rate=0.5)
         np.testing.assert_allclose(layer.weights, w, atol=1e-15)
 
-    def test_ascending_sign_moves_away(self):
-        layer = AffineLayer(np.zeros((1, 1)))
-        layer.update(np.empty(0), np.array([1.0]), learning_rate=0.1, ascend=True)
-        assert layer.weights[0, 0] == pytest.approx(-0.1)
-
     def test_converges_to_least_squares_line(self):
         rng = np.random.default_rng(42)
         layer = AffineLayer(rng.uniform(-1, 1, size=(1, 2)))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtstream.observers import (
     EBSTObserver,
@@ -57,11 +59,23 @@ class TestInsert:
         assert sums == [3.0, 4.0]
         assert sumsqs == [9.0, 16.0]
 
-    def test_bst_ordering(self):
-        obs = build_observer([(2.0, (0.0,)), (1.0, (0.0,)), (3.0, (0.0,))], 1)
-        assert obs.keys[0] == 2.0  # first key becomes the root
-        assert obs.keys[obs.left[0]] == 1.0
-        assert obs.keys[obs.right[0]] == 3.0
+    def test_first_seen_order_and_key_ordered_dump(self):
+        obs = build_observer([(2.0, (1.0,)), (1.0, (2.0,)), (3.0, (3.0,)),
+                              (1.0, (4.0,))], 1)
+        assert obs.keys[:obs.node_count].tolist() == [2.0, 1.0, 3.0]
+        assert obs.rows[:obs.node_count, :2].tolist() == [[1.0, 1.0], [2.0, 6.0],
+                                                          [1.0, 3.0]]
+        assert obs.key_ordered_dump() == [[1.0, 2.0, [6.0], [20.0]],
+                                          [2.0, 1.0, [1.0], [1.0]],
+                                          [3.0, 1.0, [3.0], [9.0]]]
+
+    def test_equal_numbers_share_the_first_seen_key(self):
+        obs = build_observer([(0.0, (1.0,)), (-0.0, (1.0,)), (1, (2.0,)),
+                              (1.0, (2.0,))], 1)
+        assert obs.node_count == 2
+        dump = obs.key_ordered_dump()
+        assert [repr(row[0]) for row in dump] == ["0.0", "1"]
+        assert [row[1] for row in dump] == [2.0, 2.0]
 
     def test_equal_keys_fold_into_one_node(self):
         obs = build_observer([(1.5, (1.0,)), (1.5, (2.0,))], 1)
@@ -146,6 +160,34 @@ class TestScanSplits:
             assert shuffled.keys() == reference.keys()
             for key in reference:
                 assert shuffled[key] == pytest.approx(reference[key], abs=1e-9)
+
+
+# values that collide in a hash index but not in identity: signed zeros and
+# ints equal to floats, next to plain repeats
+_VALUES = st.sampled_from([0.0, -0.0, 0, 1, 1.0, -1, -1.0, 2.5, 3, 3.0, -7.25, 1e6])
+# small integer targets keep every sum exact, so any insertion order gives
+# bit-identical rows
+_TARGETS = st.tuples(st.integers(-50, 50), st.integers(-50, 50)).map(
+    lambda ys: tuple(float(y) for y in ys))
+
+
+class TestHashIndexProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=st.lists(st.tuples(_VALUES, _TARGETS), min_size=1, max_size=60),
+           data=st.data())
+    def test_any_insertion_order_matches_the_oracle(self, pairs, data):
+        perm = data.draw(st.permutations(pairs))
+        obs = build_observer(pairs, 2)
+        shuffled = build_observer(perm, 2)
+        assert shuffled.key_ordered_dump() == obs.key_ordered_dump()
+        assert obs.node_count == len({v for v, _ in pairs})
+
+        parent = triple([y for _, y in pairs])
+        scanned = {key: merit for key, merit, _, _ in shuffled.candidate_merits(parent)}
+        expected = brute_force_merits(pairs)
+        assert scanned.keys() == expected.keys()
+        for threshold, merit in expected.items():
+            assert scanned[threshold] == pytest.approx(merit, rel=1e-9, abs=1e-9)
 
 
 class TestNominalObserver:

@@ -94,6 +94,25 @@ class TestLearnContract:
         assert tree.examples_learned == 0
         assert tree.root.examples_seen == 0
 
+    def test_nonfinite_feature_does_not_poison_the_leaf(self):
+        instances = linear_instances(300, m=2, d=1, seed=4)
+        x = instances[150]
+        instances[150] = Instance(features=(math.nan, x.features[1]), targets=x.targets)
+        tree = MultiTargetHoeffdingTree(numeric_schema(2, 1),
+                                        TreeConfig(variant=Variant.PERCEPTRON))
+        predictions = [tree.predict_then_learn(inst) for inst in instances]
+        assert all(math.isfinite(v) for p in predictions for v in p.values)
+        assert tree.rejected_count == 1
+        assert tree.examples_learned == 299
+
+    def test_nonfinite_numerics_predict_as_missing(self):
+        tree = grown_tree(step_instances(1000), numeric_schema(4, 2))
+        for bad in (math.nan, math.inf, -math.inf):
+            assert tree.predict(Instance(features=(bad, 0.3, 0.2, 0.1), targets=(0.0, 0.0))) \
+                == tree.predict(Instance(features=(None, 0.3, 0.2, 0.1), targets=(0.0, 0.0)))
+        tree.learn(Instance(features=(0.2, math.inf, 0.2, 0.1), targets=(1.0, 1.0)))
+        assert tree.rejected_count == 1
+
     def test_missing_feature_values_skip_stats_and_observers(self):
         tree = MultiTargetHoeffdingTree(numeric_schema(2, 1), TreeConfig())
         tree.learn(Instance(features=(1.0, None), targets=(2.0,)))
