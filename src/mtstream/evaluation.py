@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from .tree import MultiTargetHoeffdingTree, TreeConfig
 
@@ -231,8 +230,10 @@ class RankTable:
         scores = np.asarray(scores, dtype=float)
         if scores.ndim != 2 or scores.shape[1] != len(algorithms):
             raise EvaluationError("scores must be a blocks x algorithms matrix")
+        from scipy.stats import rankdata  # deferred: scipy costs ~0.6 s to import
+
         signed = scores if lower_is_better else -scores
-        ranks = np.vstack([sps.rankdata(row, method="average") for row in signed])
+        ranks = np.vstack([rankdata(row, method="average") for row in signed])
         return cls(algorithms=tuple(algorithms), ranks=ranks)
 
     @property
@@ -286,8 +287,10 @@ def friedman_nemenyi(table: RankTable, alpha: float = 0.05) -> ComparisonResult:
         f_stat = math.inf
         p_value = 0.0
     else:
+        from scipy.stats import f as f_dist  # deferred, as in RankTable.from_scores
+
         f_stat = (n - 1) * chi2 / denom
-        p_value = float(sps.f.sf(f_stat, k - 1, (k - 1) * (n - 1)))
+        p_value = float(f_dist.sf(f_stat, k - 1, (k - 1) * (n - 1)))
     reject = p_value < alpha
 
     cd = NEMENYI_Q_05[k] * math.sqrt(k * (k + 1) / (6.0 * n))

@@ -71,15 +71,15 @@ class AffineLayer:
     def predict(self, inputs) -> np.ndarray:
         return self.weights @ self.augment(inputs)
 
-    def predict_aug(self, aug: np.ndarray) -> np.ndarray:
-        return self.weights @ aug
-
     def update(self, inputs, targets_std, learning_rate: float) -> None:
-        self.update_aug(self.augment(inputs), np.asarray(targets_std), learning_rate)
+        aug = self.augment(inputs)
+        self.update_aug(aug, self.weights @ aug, np.asarray(targets_std), learning_rate)
 
-    def update_aug(self, aug: np.ndarray, targets_std: np.ndarray,
+    def update_aug(self, aug: np.ndarray, output: np.ndarray, targets_std: np.ndarray,
                    learning_rate: float) -> None:
-        error = targets_std - self.weights @ aug
+        """Delta-rule step from an augmented input and the layer's current
+        output for it (`weights @ aug`), which the caller has already computed."""
+        error = targets_std - output
         self.weights += (error * learning_rate)[:, None] * aug
 
     def copy(self) -> "AffineLayer":
@@ -170,14 +170,14 @@ class LeafPredictorSet:
             out[MEAN_PRED] = stats.target_means()
         base = self.base
         if base is not None:
-            x_aug = AffineLayer.augment(x_std)
-            base_std = base.predict_aug(x_aug)
+            # tolist() first, so candidates and faded errors hold Python floats
+            base_std = base.weights @ AffineLayer.augment(x_std)
             targets = stats.targets
             if PERCEPTRON_PRED in self.fmae:
-                out[PERCEPTRON_PRED] = _to_original(targets, base_std)
+                out[PERCEPTRON_PRED] = _to_original(targets, base_std.tolist())
             if self.meta is not None:
-                meta_std = self.meta.predict(base_std)
-                out[STACKED_PRED] = _to_original(targets, meta_std)
+                meta_std = self.meta.weights @ AffineLayer.augment(base_std)
+                out[STACKED_PRED] = _to_original(targets, meta_std.tolist())
         return out
 
     def select_from(self, candidates: dict[str, list[float]]) -> Prediction:
@@ -187,48 +187,49 @@ class LeafPredictorSet:
         selectable = self.variant.selectable
         if len(selectable) == 1:
             name = selectable[0]
-            vals = candidates[name]
-            return Prediction(values=tuple(float(v) for v in vals),
+            return Prediction(values=tuple(map(float, candidates[name])),
                               per_target_source=(name,) * self.n_targets)
+        fmae = self.fmae
+        tables = [(name, fmae[name].num, fmae[name].den) for name in selectable]
+        inf = math.inf
         values = []
         sources = []
-        fmae = self.fmae
         for t in range(self.n_targets):
-            best_name = selectable[0]
-            best_err = fmae[best_name].value(t)
-            for name in selectable[1:]:
-                err = fmae[name].value(t)
-                if err < best_err:
+            best_name = None
+            for name, num, den in tables:
+                d = den[t]
+                err = num[t] / d if d > 0.0 else inf
+                if best_name is None or err < best_err:
                     best_err = err
                     best_name = name
             values.append(float(candidates[best_name][t]))
             sources.append(best_name)
         return Prediction(values=tuple(values), per_target_source=tuple(sources))
 
-    def select_and_predict(self, x_std, stats) -> Prediction:
-        return self.select_from(self._candidates(x_std, stats))
-
     def score_candidates(self, candidates: dict[str, list[float]], y_true) -> None:
         """Fold one example's absolute errors into every scored predictor's
         faded table (call before any state is updated)."""
+        fmae = self.fmae
         for name, pred in candidates.items():
-            self.fmae[name].update([abs(y - p) for y, p in zip(y_true, pred)])
-
-    def score(self, x_std, y_true, stats) -> None:
-        self.score_candidates(self._candidates(x_std, stats), y_true)
+            fe = fmae[name]
+            fe.num = [FADE_DECAY * e + abs(y - p) for e, y, p in zip(fe.num, y_true, pred)]
+            fe.den = [FADE_DECAY * d + 1.0 for d in fe.den]
 
     def train(self, x_std, y_std) -> None:
         """One delta-rule step on both layers. The stacked layer consumes the
-        base outputs as they were before the base layer moved."""
+        base outputs as they were before the base layer moved; the base output
+        is computed once and serves as the base layer's own error term too."""
         base = self.base
         if base is None:
             return
         x_aug = AffineLayer.augment(x_std)
+        base_std = base.weights @ x_aug
         y = np.asarray(y_std)
-        if self.meta is not None:
-            base_aug = AffineLayer.augment(base.predict_aug(x_aug))
-            self.meta.update_aug(base_aug, y, self.learning_rate)
-        base.update_aug(x_aug, y, self.learning_rate)
+        meta = self.meta
+        if meta is not None:
+            base_aug = AffineLayer.augment(base_std)
+            meta.update_aug(base_aug, meta.weights @ base_aug, y, self.learning_rate)
+        base.update_aug(x_aug, base_std, y, self.learning_rate)
 
     def weight_slots(self) -> int:
         slots = 0

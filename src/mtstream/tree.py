@@ -176,7 +176,8 @@ class MultiTargetHoeffdingTree:
         instance = self.schema.nonfinite_as_missing(instance)
         leaf = self.route(instance)
         x_std = leaf.stats.standardize_features(instance.features)
-        return leaf.predictors.select_and_predict(x_std, leaf.stats)
+        predictors = leaf.predictors
+        return predictors.select_from(predictors._candidates(x_std, leaf.stats))
 
     def learn(self, instance: Instance) -> None:
         """Fold one example into exactly one leaf; attempt a split when that

@@ -54,31 +54,36 @@ def test_criterion_01_bound_value_and_monotonicity():
 
 # -- 2: split merits against exhaustive brute force ---------------------------
 
-def _batch_variance(column):
-    return float(np.var(column, ddof=1)) if len(column) >= 2 else 0.0
-
-
-def _batch_icvar(ys):
-    if len(ys) < 2:
-        return 0.0
-    return float(np.mean([_batch_variance(ys[:, t]) for t in range(ys.shape[1])]))
+def _batch_icvar(ys, masks):
+    """Per mask row: the mean over targets of the sample variance of the rows
+    it selects, by two passes (the mean, then squared deviations from it);
+    0 when it selects fewer than 2 rows."""
+    w = masks.astype(float)
+    counts = w.sum(axis=1)
+    means = (w @ ys) / np.maximum(counts, 1.0)[:, None]
+    sq_dev = np.einsum("ti,tid->td", w, (ys[None, :, :] - means[:, None, :]) ** 2)
+    icvar = (sq_dev / np.maximum(counts - 1.0, 1.0)[:, None]).mean(axis=1)
+    return np.where(counts >= 2, icvar, 0.0)
 
 
 def _brute_force_best(xs, ys):
-    """Exhaustive (feature, threshold, merit) search; ties break toward the
-    lower feature index, then the lower threshold."""
+    """Exhaustive (feature, threshold, merit) search, every threshold of a
+    feature at once; ties break toward the lower feature index, then the
+    lower threshold."""
     n, m = xs.shape
-    parent = _batch_icvar(ys)
+    parent = float(_batch_icvar(ys, np.ones((1, n), dtype=bool))[0])
     best = None
     for f in range(m):
-        for threshold in sorted(set(xs[:, f].tolist())):
-            mask = xs[:, f] <= threshold
-            n_left = int(mask.sum())
-            if n_left < 1 or n - n_left < 1:
+        thresholds = np.unique(xs[:, f])
+        left = xs[:, f][None, :] <= thresholds[:, None]
+        n_left = left.sum(axis=1)
+        merits = parent \
+            - (n_left / n) * _batch_icvar(ys, left) \
+            - ((n - n_left) / n) * _batch_icvar(ys, ~left)
+        for threshold, k, merit in zip(thresholds.tolist(), n_left.tolist(),
+                                       merits.tolist()):
+            if k < 1 or n - k < 1:
                 continue
-            merit = parent \
-                - (n_left / n) * _batch_icvar(ys[mask]) \
-                - ((n - n_left) / n) * _batch_icvar(ys[~mask])
             if best is None or merit > best[2] + 1e-15:
                 best = (f, threshold, merit)
     return best

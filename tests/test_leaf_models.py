@@ -4,6 +4,8 @@ import pytest
 from mtstream.leaf_models import FADE_DECAY, AffineLayer, FadedError, LeafPredictorSet
 from mtstream.schema import Variant
 from mtstream.stats import VectorStats
+from mtstream.streams import GeneratorSpec, make_stream
+from mtstream.tree import MultiTargetHoeffdingTree, TreeConfig
 
 
 class TestAffinePredict:
@@ -120,7 +122,7 @@ class TestSelection:
         stats = make_stats(2, [0.0, 0.0], [1.0, 1.0])
         for name, err in (("mean", 0.5), ("perceptron", 0.3), ("stacked", 0.2)):
             ps.fmae[name].update(np.array([err, err]))
-        pred = ps.select_and_predict([0.0, 0.0], stats)
+        pred = ps.select_from(ps._candidates([0.0, 0.0], stats))
         assert pred.per_target_source == ("stacked", "stacked")
 
     def test_ties_break_toward_the_cheaper_model(self):
@@ -128,13 +130,13 @@ class TestSelection:
         stats = make_stats(2, [0.0, 0.0], [1.0, 1.0])
         for name in ("mean", "perceptron", "stacked"):
             ps.fmae[name].update(np.array([0.4, 0.4]))
-        pred = ps.select_and_predict([0.0, 0.0], stats)
+        pred = ps.select_from(ps._candidates([0.0, 0.0], stats))
         assert pred.per_target_source == ("mean", "mean")
 
     def test_fresh_leaf_ties_at_infinity_toward_mean(self):
         ps = make_set(Variant.STACKED_ADAPTIVE)
         stats = make_stats(2, [1.0, 2.0], [1.0, 1.0])
-        pred = ps.select_and_predict([0.0, 0.0], stats)
+        pred = ps.select_from(ps._candidates([0.0, 0.0], stats))
         assert pred.per_target_source == ("mean", "mean")
 
     def test_fixed_stacked_variant_ignores_errors(self):
@@ -142,7 +144,7 @@ class TestSelection:
         stats = make_stats(2, [0.0, 0.0], [1.0, 1.0])
         ps.fmae["perceptron"].update(np.array([0.0, 0.0]))  # better, but not selectable
         ps.fmae["stacked"].update(np.array([9.9, 9.9]))
-        pred = ps.select_and_predict([0.5, -0.5], stats)
+        pred = ps.select_from(ps._candidates([0.5, -0.5], stats))
         assert pred.per_target_source == ("stacked", "stacked")
 
     def test_selection_invariant_under_positive_rescaling(self):
@@ -150,17 +152,17 @@ class TestSelection:
         stats = make_stats(2, [0.0, 0.0], [1.0, 1.0])
         for name, err in (("mean", 0.5), ("perceptron", 0.2), ("stacked", 0.3)):
             ps.fmae[name].update(np.array([err, err]))
-        before = ps.select_and_predict([0.1, 0.1], stats).per_target_source
+        before = ps.select_from(ps._candidates([0.1, 0.1], stats)).per_target_source
         for name in ps.fmae:
             fe = ps.fmae[name]
             fe.num = [37.5 * v for v in fe.num]  # common positive factor
-        after = ps.select_and_predict([0.1, 0.1], stats).per_target_source
+        after = ps.select_from(ps._candidates([0.1, 0.1], stats)).per_target_source
         assert before == after == ("perceptron", "perceptron")
 
     def test_mean_variant_predicts_running_means(self):
         ps = make_set(Variant.MEAN)
         stats = make_stats(2, [3.0, -1.0], [1.0, 2.0])
-        pred = ps.select_and_predict([0.0, 0.0], stats)
+        pred = ps.select_from(ps._candidates([0.0, 0.0], stats))
         assert pred.values == pytest.approx((3.0, -1.0))
         assert pred.per_target_source == ("mean", "mean")
 
@@ -180,10 +182,40 @@ class TestScoredSets:
     def test_score_touches_every_table(self):
         ps = make_set(Variant.STACKED_ADAPTIVE)
         stats = make_stats(2, [0.0, 0.0], [1.0, 1.0])
-        ps.score([0.5, 0.5], (1.0, 2.0), stats)
+        ps.score_candidates(ps._candidates([0.5, 0.5], stats), (1.0, 2.0))
         for fe in ps.fmae.values():
             assert all(v > 0 for v in fe.den)
 
+
+class TestHotPathTypes:
+    def test_candidates_and_faded_errors_hold_python_floats(self):
+        """numpy scalars must not leak into the per-example leaf path: every
+        candidate value and every faded-error entry is a plain float."""
+        source = make_stream(GeneratorSpec(family="friedman_mt", n_examples=400,
+                                           n_targets=3, noise_sd=0.5, seed=2))
+        tree = MultiTargetHoeffdingTree(
+            source.schema, TreeConfig(variant=Variant.STACKED_ADAPTIVE, seed=1))
+        instances = list(source)
+        for instance in instances[:-1]:
+            tree.predict_then_learn(instance)
+        probe = instances[-1]
+        leaf = tree.route(probe)
+        ps = leaf.predictors
+        candidates = ps._candidates(leaf.stats.standardize_features(probe.features),
+                                    leaf.stats)
+        assert set(candidates) == {"mean", "perceptron", "stacked"}
+        for values in candidates.values():
+            assert all(type(v) is float for v in values)
+        reference = {}
+        for name, pred in candidates.items():
+            fe = FadedError(3)
+            fe.num, fe.den = list(ps.fmae[name].num), list(ps.fmae[name].den)
+            fe.update([abs(y - p) for y, p in zip(probe.targets, pred)])
+            reference[name] = fe.state()
+        ps.score_candidates(candidates, probe.targets)
+        for name, fe in ps.fmae.items():
+            assert all(type(v) is float for v in fe.num + fe.den)
+            assert fe.state() == reference[name]  # the FadedError.update rule
 
 class TestInheritance:
     def test_child_copies_weights_and_resets_errors(self):
