@@ -179,6 +179,13 @@ def _run_cell(payload: dict) -> WindowedReport:
                            dataset=payload["dataset"]["name"])
 
 
+def _leaf_cost(variant_name: str) -> tuple:
+    """Sort key for the cost of a variant's leaves: a stacked layer, then a
+    base layer, then the number of scored predictors."""
+    variant = Variant(variant_name)
+    return variant.has_meta_layer, variant.has_base_layer, len(variant.scored)
+
+
 def report_filename(dataset: str, variant: str, seed: int) -> str:
     return f"{dataset}__{variant}__seed{seed}.csv"
 
@@ -203,8 +210,14 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = args.jobs or os.cpu_count() or 1
     if jobs > 1 and len(payloads) > 1:
+        # longest leaf stack first, so no slow cell starts last; reports keep
+        # the config order
+        order = sorted(range(len(payloads)), reverse=True,
+                       key=lambda i: _leaf_cost(payloads[i]["variant"]))
+        reports = [None] * len(payloads)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_run_cell, payloads))
+            for i, report in zip(order, pool.map(_run_cell, [payloads[i] for i in order])):
+                reports[i] = report
     else:
         reports = [_run_cell(p) for p in payloads]
 

@@ -1,16 +1,17 @@
 """Per-feature split-candidate observers.
 
-Numeric features are tracked per distinct observed value: one row per value,
-accumulating the count, per-target sum, and per-target sum of squares of the
-examples carrying that exact value. A hash index from value to row folds
-duplicates in O(1) on the per-example path; rows and keys stay in first-seen
-order in flat arrays. Scanning candidates sorts the keys and prefix-sums the
-rows in key order, which reconstructs, for every observed value as a
-`v <= key` threshold, the exact left/right partition statistics in a handful
-of vectorized passes.
+Numeric features are tracked per distinct observed value: one column per
+value, accumulating the count, per-target sum, and per-target sum of squares
+of the examples carrying that exact value. Examples arrive in blocks: `fold`
+merges a block's new values into the sorted key array with `searchsorted`
+and `insert`, then adds every example's (1, y, y^2) row to its key's column
+with one `np.add.at`, in arrival order. The keys stay sorted, so scanning
+candidates is one prefix sum over the columns, which reconstructs, for every
+observed value as a `v <= key` threshold, the exact left/right partition
+statistics in a handful of vectorized passes.
 
-Nominal features keep one aggregate triple per observed category and propose
-a single multiway split over the declared category set.
+Nominal features keep one aggregate row per declared category, folded the
+same way, and propose a single multiway split over the declared category set.
 
 Split merit is the reduction in intra-cluster variance: the mean (across
 targets) sample variance of the parent minus the example-weighted mean of the
@@ -57,10 +58,11 @@ def variance_reduction(parent, children) -> float:
     return merit
 
 
-def moment_row(y) -> np.ndarray:
-    """The (1, y, y^2) row one example adds to an observer's aggregates;
-    fastest when `y` holds Python floats."""
-    return np.array([1.0, *y, *[v * v for v in y]])
+def moment_block(ys) -> np.ndarray:
+    """(m, 1 + 2d) block of the (1, y, y^2) rows that m target vectors add to
+    an observer's aggregates, in arrival order."""
+    y = np.array(ys, dtype=float)
+    return np.concatenate((np.ones((len(y), 1)), y, y * y), axis=1)
 
 
 @dataclass
@@ -83,48 +85,58 @@ class SplitSuggestion:
 
 
 class EBSTObserver:
-    """Numeric attribute observer: a hash index over distinct values with flat
-    per-value aggregate rows, scanned as sorted prefix sums.
+    """Numeric attribute observer: sorted distinct values with one aggregate
+    column each, scanned as prefix sums.
 
     The class keeps the FIMT-DD name (extended binary search tree) because it
-    answers the same queries; the sorted order is built at scan time instead
-    of being maintained on every insert. Values must be finite: a NaN never
-    equals itself, so each one would take a fresh row.
+    answers the same queries. `seen` holds every distinct value added so far,
+    each as its first-seen object; the tree adds to it once per example and
+    folds the examples themselves only before it reads the observer. `keys`
+    and `rows` cover the folded values. Values must be finite: a NaN never
+    equals itself, so each one would take a fresh key.
     """
 
-    __slots__ = ("n_targets", "row_width", "index", "keys", "rows", "node_count")
+    __slots__ = ("n_targets", "seen", "keys", "rows")
 
     def __init__(self, n_targets: int):
         self.n_targets = n_targets
-        self.row_width = 1 + 2 * n_targets  # count, sums, sums of squares
-        self.index: dict[float, int] = {}  # first-seen value -> row
-        self.keys = np.empty(16)  # row i holds the examples with value keys[i]
-        self.rows = np.zeros((16, self.row_width))
-        self.node_count = 0
+        self.seen: set = set()
+        self.keys = np.empty(0)  # sorted; keys[j] is its value as first seen
+        # (1 + 2d, n): count, sums, sums of squares; column j is keys[j]
+        self.rows = np.empty((1 + 2 * n_targets, 0))
 
     def insert(self, v: float, y) -> None:
         """Fold one (value, target-vector) pair into the observer."""
-        self.insert_row(v, moment_row(np.asarray(y, dtype=float).tolist()))
+        self.seen.add(v)
+        self.fold(np.array([v], dtype=float), moment_block([y]))
 
-    def insert_row(self, v: float, aug: np.ndarray) -> None:
-        """Hot-path insert: `aug` is the precomputed (1, y, y^2) row, shared
-        across every observer fed by the same example."""
-        i = self.index.get(v)
-        if i is not None:
-            self.rows[i] += aug
-            return
-        n = self.node_count
-        if n == len(self.keys):
-            self.keys = np.concatenate((self.keys, np.empty(n)))
-            self.rows = np.concatenate((self.rows, np.zeros((n, self.row_width))))
-        self.index[v] = n
-        self.keys[n] = v
-        self.rows[n] = aug
-        self.node_count = n + 1
+    def fold(self, values: np.ndarray, block: np.ndarray) -> None:
+        """Add the rows of `block` to the columns of `values`, one example per
+        row in arrival order. Every value must already be in `seen`.
+
+        A new key's column starts at -0.0, the additive identity, so its
+        first example's row is copied bit for bit; later rows add in arrival
+        order, the order of one-at-a-time inserts.
+        """
+        keys = self.keys
+        at = np.searchsorted(keys, values)
+        found = at < len(keys)
+        found[found] = keys[at[found]] == values[found]
+        if not found.all():
+            fresh = values[~found]
+            _, first = np.unique(fresh, return_index=True)  # stable: first seen
+            fresh = fresh[first]
+            where = np.searchsorted(keys, fresh)
+            self.keys = keys = np.insert(keys, where, fresh)
+            self.rows = np.insert(self.rows, where, -0.0, axis=1)
+            at = np.searchsorted(keys, values)
+        np.add.at(self.rows.T, at, block)
 
     @property
-    def distinct_keys(self) -> int:
-        return self.node_count
+    def node_count(self) -> int:
+        return len(self.seen)
+
+    distinct_keys = node_count
 
     def _scan(self, parent):
         """Vectorized candidate evaluation.
@@ -135,15 +147,11 @@ class EBSTObserver:
         side of each candidate is the parent aggregate minus the prefix;
         candidates need at least one example per side.
         """
-        n = self.node_count
-        if n < 2:
+        keys = self.keys
+        if len(keys) < 2:
             return None
         d = self.n_targets
-        keys = self.keys[:n]
-        order = np.argsort(keys)  # distinct keys: total order
-        keys = keys[order]
-        # (1 + 2d, n): one contiguous row per moment, columns in key order
-        prefix = np.cumsum(np.take(self.rows[:n].T, order, axis=1), axis=1)
+        prefix = np.cumsum(self.rows, axis=1)
 
         parent_cnt = parent[0]
         parent_sums = np.asarray(parent[1])
@@ -183,9 +191,10 @@ class EBSTObserver:
     def best_splits(self, feature: int, parent):
         """Highest- and second-highest-merit suggestions over this feature's
         candidate thresholds; (None, None) below two distinct observed keys."""
-        if self.node_count < 2:
+        scan = self._scan(parent)
+        if scan is None:
             return None, None
-        keys, merits, valid, prefix = self._scan(parent)
+        keys, merits, valid, prefix = scan
         masked = np.where(valid, merits, -np.inf)
         i1 = int(np.argmax(masked))
         if masked[i1] == -np.inf:
@@ -214,23 +223,16 @@ class EBSTObserver:
                                child_stats=list(self._partition(parent, prefix, i)))
 
     def key_ordered_dump(self) -> list:
-        """(key, count, sums, sumsqs) rows in increasing key order; each key
-        is the first-seen object of its value."""
-        n = self.node_count
-        if n == 0:
-            return []
-        first_seen = list(self.index)
+        """(key, count, sums, sumsqs) rows of the folded values in increasing
+        key order; each key is the first-seen object of its value."""
+        first_seen = {v: v for v in self.seen}
         d = self.n_targets
-        out = []
-        for i in np.argsort(self.keys[:n]):
-            row = self.rows[i]
-            out.append([first_seen[i], float(row[0]),
-                        row[1:1 + d].tolist(), row[1 + d:].tolist()])
-        return out
+        return [[first_seen[key], column[0], column[1:1 + d], column[1 + d:]]
+                for key, column in zip(self.keys.tolist(), self.rows.T.tolist())]
 
     def memory_slots(self) -> int:
         # key + count + per-target (sum, sumsq) per distinct value
-        return self.node_count * (2 + 2 * self.n_targets)
+        return len(self.seen) * (2 + 2 * self.n_targets)
 
 
 def _icvar_rows(cnt: np.ndarray, sums: np.ndarray, sumsqs: np.ndarray) -> np.ndarray:
@@ -246,50 +248,47 @@ def _icvar_rows(cnt: np.ndarray, sums: np.ndarray, sumsqs: np.ndarray) -> np.nda
 
 
 class NominalObserver:
-    """Per-category aggregate triples for one nominal feature."""
+    """Per-category aggregate rows for one nominal feature."""
 
-    __slots__ = ("n_categories", "n_targets", "cnt", "sums", "sumsqs")
+    __slots__ = ("n_categories", "n_targets", "table")
 
     def __init__(self, n_categories: int, n_targets: int):
         self.n_categories = n_categories
         self.n_targets = n_targets
-        self.cnt = [0.0] * n_categories
-        self.sums = [[0.0] * n_targets for _ in range(n_categories)]
-        self.sumsqs = [[0.0] * n_targets for _ in range(n_categories)]
+        # (categories, 1 + 2d): count, sums, sums of squares per category
+        self.table = np.zeros((n_categories, 1 + 2 * n_targets))
 
     def insert(self, category: int, y) -> None:
-        self.cnt[category] += 1.0
-        sums = self.sums[category]
-        sumsqs = self.sumsqs[category]
-        for t in range(self.n_targets):
-            val = y[t]
-            sums[t] += val
-            sumsqs[t] += val * val
+        self.fold(np.array([category]), moment_block([y]))
 
-    def insert_row(self, category, aug: np.ndarray) -> None:
-        """Hot-path twin of `insert`, sharing the numeric observers' row."""
-        c = int(category)
-        self.cnt[c] += 1.0
-        d = self.n_targets
-        sums = self.sums[c]
-        sumsqs = self.sumsqs[c]
-        for t in range(d):
-            sums[t] += aug[1 + t]
-            sumsqs[t] += aug[1 + d + t]
+    def fold(self, categories: np.ndarray, block: np.ndarray) -> None:
+        """Add the rows of `block` to their categories in arrival order."""
+        np.add.at(self.table, categories.astype(np.intp), block)
+
+    @property
+    def cnt(self) -> list[float]:
+        return self.table[:, 0].tolist()
+
+    @property
+    def sums(self) -> list[list[float]]:
+        return self.table[:, 1:1 + self.n_targets].tolist()
+
+    @property
+    def sumsqs(self) -> list[list[float]]:
+        return self.table[:, 1 + self.n_targets:].tolist()
 
     @property
     def observed_categories(self) -> int:
-        return sum(1 for c in self.cnt if c > 0)
+        return int(np.count_nonzero(self.table[:, 0]))
 
     def suggest(self, feature: int, parent) -> SplitSuggestion | None:
         """One multiway suggestion over the declared categories, or None when
         fewer than two categories have been observed."""
         if self.observed_categories < 2:
             return None
-        children = [
-            (self.cnt[c], tuple(self.sums[c]), tuple(self.sumsqs[c]))
-            for c in range(self.n_categories)
-        ]
+        d = self.n_targets
+        children = [(row[0], tuple(row[1:1 + d]), tuple(row[1 + d:]))
+                    for row in self.table.tolist()]
         merit = variance_reduction(parent, children)
         return SplitSuggestion(feature=feature, merit=float(merit), threshold=None,
                                child_stats=children)

@@ -1,15 +1,17 @@
 """Incremental multi-target regression tree.
 
 One pass over the stream: each example routes to a single leaf, updates that
-leaf's sufficient statistics, per-feature observers, and leaf predictors, and
-every `grace_period` examples the leaf asks the split engine whether its best
-candidate is confidently ahead. Split decisions read only statistics and
+leaf's sufficient statistics and leaf predictors, joins the leaf's pending
+block, and every `grace_period` examples the leaf folds the block into its
+per-feature observers and asks the split engine whether its best candidate
+is confidently ahead. Split decisions read only statistics and
 observers - never leaf-model errors - so every variant grows the same tree
 skeleton on the same stream.
 
-Concurrency contract: a tree is single-writer (learn needs exclusive access);
-predict is read-only and may run concurrently with other predicts. Distinct
-trees are fully independent.
+Concurrency contract: a tree is single-writer (learn needs exclusive access,
+and so does serialize, which folds the pending blocks first); predict is
+read-only and may run concurrently with other predicts. Distinct trees are
+fully independent.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .leaf_models import LeafPredictorSet
-from .observers import EBSTObserver, NominalObserver, moment_row
+from .observers import EBSTObserver, NominalObserver, moment_block
 from .schema import NOMINAL, Instance, Prediction, StreamSchema, Variant
 from .splitting import HoeffdingParams, MeritRatio, decide_split
 from .stats import RunningStats, VectorStats
@@ -67,7 +69,7 @@ class SplitNode:
 
 class LeafNode:
     __slots__ = ("stats", "observers", "predictors", "ratio",
-                 "examples_seen", "since_attempt")
+                 "examples_seen", "since_attempt", "pending")
 
     def __init__(self, stats: VectorStats, observers: list,
                  predictors: LeafPredictorSet):
@@ -77,10 +79,28 @@ class LeafNode:
         self.ratio = MeritRatio()
         self.examples_seen = 0
         self.since_attempt = 0
+        self.pending: list[Instance] = []  # learned, not yet in the observers
 
     @property
     def is_leaf(self) -> bool:
         return True
+
+    def fold_pending(self) -> None:
+        """Fold the pending block into every observer, in arrival order.
+        Missing values (None, read as NaN) never reach an observer."""
+        pending = self.pending
+        if not pending:
+            return
+        block = moment_block([inst.targets for inst in pending])
+        columns = zip(*[inst.features for inst in pending])
+        for obs, column in zip(self.observers, columns):
+            values = np.array(column, dtype=float)
+            present = values == values
+            if present.all():
+                obs.fold(values, block)
+            elif present.any():
+                obs.fold(values[present], block[present])
+        self.pending = []
 
 
 class MultiTargetHoeffdingTree:
@@ -209,14 +229,13 @@ class MultiTargetHoeffdingTree:
         leaf.stats.update_targets(y)
         features = instance.features
         update_feature = leaf.stats.update_feature
+        observers = leaf.observers
         for i in self._numeric:
             v = features[i]
             if v is not None:
                 update_feature(i, v)
-        aug = moment_row(y)  # shared by every observer
-        for obs, v in zip(leaf.observers, features):
-            if v is not None:  # missing values never reach the observers
-                obs.insert_row(v, aug)
+                observers[i].seen.add(v)
+        leaf.pending.append(instance)  # folded at the next split attempt
 
         x_std = leaf.stats.standardize_features(features)
         y_std = leaf.stats.standardize_targets(y)
@@ -242,6 +261,7 @@ class MultiTargetHoeffdingTree:
         )
 
     def _attempt_split(self, leaf: LeafNode, parent, child_index: int) -> bool:
+        leaf.fold_pending()
         parent_triple = self._parent_triple(leaf)
         if parent_triple[0] < 2:
             return False
@@ -349,10 +369,11 @@ def _node_dict(node, include_leaf_state: bool) -> dict:
         }
     if not include_leaf_state:
         return {"kind": "leaf"}
+    node.fold_pending()
     observers = []
     for obs in node.observers:
         if isinstance(obs, NominalObserver):
-            observers.append({"kind": "nominal", "cnt": list(obs.cnt),
+            observers.append({"kind": "nominal", "cnt": obs.cnt,
                               "sums": obs.sums, "sumsqs": obs.sumsqs})
         else:
             observers.append({"kind": "numeric", "nodes": obs.key_ordered_dump()})

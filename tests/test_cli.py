@@ -68,16 +68,31 @@ class TestRun:
         assert strip(rows_a) == strip(rows_b)
 
     def test_parallel_jobs_match_sequential_metrics(self, tmp_path):
-        cfg = run_config(tmp_path, n=450, variants=("mean", "perceptron"), seeds=(0, 1))
+        # the pool runs the cells in a different order than the config
+        cfg = run_config(
+            tmp_path, n=450,
+            variants=("mean", "perceptron", "adaptive", "stacked", "stacked_adaptive"),
+            seeds=(0, 1))
         seq, par = tmp_path / "seq", tmp_path / "par"
         assert main(["run", "--config", str(cfg), "--out", str(seq), "--jobs", "1"]) == 0
         assert main(["run", "--config", str(cfg), "--out", str(par), "--jobs", "2"]) == 0
-        for report in seq.glob("toy__*__seed*.csv"):
-            a = read_rows(report)
-            b = read_rows(par / report.name)
-            strip = lambda rows: [{k: v for k, v in r.items() if k != "elapsed_s"}
-                                  for r in rows]
-            assert strip(a) == strip(b)
+        reports = sorted(seq.glob("toy__*__seed*.csv"))
+        assert len(reports) == 10
+        strip = lambda rows, timed: [{k: v for k, v in r.items() if not k.startswith(timed)}
+                                     for r in rows]
+        for report in reports:
+            assert strip(read_rows(report), "elapsed_s") \
+                == strip(read_rows(par / report.name), "elapsed_s")
+        assert strip(read_rows(seq / "summary.csv"), "time_s_") \
+            == strip(read_rows(par / "summary.csv"), "time_s_")
+        assert (seq / "comparison.csv").read_text() == (par / "comparison.csv").read_text()
+
+    def test_pool_gets_the_longest_leaf_stack_first(self):
+        from mtstream.cli import _leaf_cost
+        from mtstream.schema import Variant
+
+        order = sorted((v.value for v in Variant), key=_leaf_cost, reverse=True)
+        assert order == ["stacked_adaptive", "stacked", "adaptive", "perceptron", "mean"]
 
     def test_invalid_config_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"

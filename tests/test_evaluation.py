@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtstream.evaluation import (
     EvaluationError,
@@ -150,6 +152,17 @@ class TestRankTable:
         np.testing.assert_array_equal(table.ranks[0], [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(table.ranks[1], [1.5, 1.5, 3.0])
         assert table.ranks.sum(axis=1).tolist() == [6.0, 6.0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(1, 6).flatmap(lambda k: st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, math.inf, math.nan]),
+                 min_size=k, max_size=k), min_size=1, max_size=5)))
+    def test_ranks_equal_scipy_rankdata(self, rows):
+        from scipy.stats import rankdata
+
+        table = RankTable.from_scores([f"a{i}" for i in range(len(rows[0]))], rows)
+        expected = np.vstack([rankdata(row, method="average") for row in rows])
+        np.testing.assert_array_equal(table.ranks, expected)
 
     def test_higher_is_better_flips_order(self):
         table = RankTable.from_scores(["a", "b"], [[0.9, 0.1]], lower_is_better=False)

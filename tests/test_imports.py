@@ -1,9 +1,11 @@
-"""Import hygiene: scipy is loaded only by the Friedman/Nemenyi comparison.
+"""Import hygiene: scipy is loaded only by the Friedman test's F survival
+function.
 
 `import scipy.stats` costs about 0.6 s and 70 MB, which every prequential
 process and every `mtstream run` pool worker would otherwise pay before its
-first example. Each check runs in a fresh interpreter, since this test
-process may already have loaded scipy through other tests.
+first example; ranks are computed in numpy. Each check runs in a fresh
+interpreter, since this test process may already have loaded scipy through
+other tests.
 """
 
 from __future__ import annotations
@@ -41,6 +43,15 @@ def test_generate_does_not_load_scipy(tmp_path):
         "print(code, 'scipy' in sys.modules)")
     assert out.splitlines()[-1] == "0 False"  # after generate's own output
     assert (tmp_path / "out" / "plane.csv").exists()
+
+
+def test_ranking_does_not_load_scipy():
+    out = run_fresh(
+        "import sys\n"
+        "from mtstream import RankTable\n"
+        "t = RankTable.from_scores(['a', 'b', 'c'], [[0.3, 0.1, 0.3], [0.2, 0.5, 0.4]])\n"
+        "print('scipy' in sys.modules, t.ranks.tolist())")
+    assert out.strip() == "False [[2.5, 1.0, 2.5], [1.0, 3.0, 2.0]]"
 
 
 def test_comparison_loads_scipy_and_keeps_its_result():

@@ -9,6 +9,8 @@ from mtstream.observers import (
     intra_cluster_variance,
     variance_reduction,
 )
+from mtstream.schema import Instance
+from mtstream.tree import LeafNode
 
 
 def triple(ys):
@@ -62,9 +64,9 @@ class TestInsert:
     def test_first_seen_order_and_key_ordered_dump(self):
         obs = build_observer([(2.0, (1.0,)), (1.0, (2.0,)), (3.0, (3.0,)),
                               (1.0, (4.0,))], 1)
-        assert obs.keys[:obs.node_count].tolist() == [2.0, 1.0, 3.0]
-        assert obs.rows[:obs.node_count, :2].tolist() == [[1.0, 1.0], [2.0, 6.0],
-                                                          [1.0, 3.0]]
+        # keys are kept sorted whatever order they arrive in
+        assert obs.keys.tolist() == [1.0, 2.0, 3.0]
+        assert obs.rows[:2].T.tolist() == [[2.0, 6.0], [1.0, 1.0], [1.0, 3.0]]
         assert obs.key_ordered_dump() == [[1.0, 2.0, [6.0], [20.0]],
                                           [2.0, 1.0, [1.0], [1.0]],
                                           [3.0, 1.0, [3.0], [9.0]]]
@@ -188,6 +190,57 @@ class TestHashIndexProperties:
         assert scanned.keys() == expected.keys()
         for threshold, merit in expected.items():
             assert scanned[threshold] == pytest.approx(merit, rel=1e-9, abs=1e-9)
+
+
+def one_at_a_time_dump(pairs, d):
+    """key_ordered_dump() of pairs folded in plain Python floats: a value's
+    first example sets its row, later ones add to it in arrival order."""
+    rows = {}
+    for v, y in pairs:
+        row = [1.0, *y, *[t * t for t in y]]
+        rows[v] = [a + b for a, b in zip(rows[v], row)] if v in rows else row
+    return [[key, row[0], row[1:1 + d], row[1 + d:]]
+            for key, row in sorted(rows.items())]
+
+
+# targets whose sums depend on the order of addition, and a signed zero
+_ORDERED_TARGETS = st.tuples(*[st.sampled_from([-0.0, 0.0, 0.1, -2.5, 1e16, 3.0, 1e-3])] * 2)
+
+
+class TestBlockFold:
+    """A leaf folds its pending examples in blocks; any block boundaries give
+    the bits of one-at-a-time inserts."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.lists(st.tuples(st.one_of(st.none(), _VALUES),
+                                   st.one_of(st.none(), st.integers(0, 2)),
+                                   _ORDERED_TARGETS), min_size=1, max_size=60),
+           cuts=st.sets(st.integers(0, 59)))
+    def test_blocks_equal_one_at_a_time(self, rows, cuts):
+        numeric, nominal = EBSTObserver(2), NominalObserver(3, 2)
+        for v, c, y in rows:
+            if v is not None:
+                numeric.insert(v, y)
+            if c is not None:
+                nominal.insert(c, y)
+
+        leaf = LeafNode(None, [EBSTObserver(2), NominalObserver(3, 2)], None)
+        for k, (v, c, y) in enumerate(rows):
+            if v is not None:
+                leaf.observers[0].seen.add(v)
+            leaf.pending.append(Instance(features=(v, c), targets=y))
+            if k in cuts:
+                leaf.fold_pending()
+        leaf.fold_pending()
+        folded, folded_nominal = leaf.observers
+
+        assert repr(folded.key_ordered_dump()) == repr(numeric.key_ordered_dump())
+        assert repr(numeric.key_ordered_dump()) == repr(one_at_a_time_dump(
+            [(v, y) for v, _, y in rows if v is not None], 2))
+        assert folded.node_count == numeric.node_count
+        assert folded.memory_slots() == numeric.memory_slots()
+        assert repr(folded.keys.tolist()) == repr(numeric.keys.tolist())
+        assert repr(folded_nominal.table.tolist()) == repr(nominal.table.tolist())
 
 
 class TestNominalObserver:

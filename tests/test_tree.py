@@ -332,3 +332,31 @@ class TestSerialization:
         skeleton = tree.serialize_skeleton()
         assert "observers" not in skeleton
         assert "weights" not in skeleton
+
+    def test_serialize_with_pending_examples_changes_nothing(self):
+        # a nominal, a numeric with repeats and missing values, a continuous
+        schema = StreamSchema(
+            features=(FeatureSpec("c", kind=NOMINAL, categories=("a", "b", "z")),
+                      FeatureSpec("x"), FeatureSpec("w")),
+            targets=("y0", "y1"))
+        rng = np.random.default_rng(4)
+        instances = []
+        for _ in range(1500):
+            c = int(rng.integers(0, 3))
+            x = None if rng.random() < 0.2 else float(rng.integers(0, 12)) / 4.0
+            w = float(rng.random())
+            instances.append(Instance(
+                features=(c, x, w),
+                targets=(float(c) + w + float(rng.normal(0, 0.1)), 2.0 * w)))
+        config = TreeConfig(variant=Variant.STACKED_ADAPTIVE, grace_period=100)
+        plain = MultiTargetHoeffdingTree(schema, config)
+        probed = MultiTargetHoeffdingTree(schema, config)
+        plain_predictions = [plain.predict_then_learn(inst) for inst in instances]
+        probed_predictions = []
+        for k, inst in enumerate(instances):
+            probed_predictions.append(probed.predict_then_learn(inst))
+            if k % 37 == 5:  # mid grace period: the leaves hold pending examples
+                probed.serialize()
+        assert plain.split_count >= 1
+        assert probed_predictions == plain_predictions
+        assert probed.serialize() == plain.serialize()
