@@ -146,12 +146,15 @@ def run_prequential(source, tree_config: TreeConfig,
         warmed += 1
 
     targets_range = range(d)
+    isnan = math.isnan
     for inst in stream:
         t0 = clock()
         prediction = tree.predict_then_learn(inst)
         elapsed += clock() - t0
-        sqs = [(inst.targets[t] - prediction.values[t]) ** 2 for t in targets_range]
-        if any(s != s for s in sqs):
+        y = inst.targets
+        p = prediction.values
+        sqs = [(y[t] - p[t]) ** 2 for t in targets_range]
+        if isnan(sum(sqs)):  # squares are >= 0, so only a NaN makes a NaN sum
             continue  # non-finite target: rejected by the tree, not evaluated
         for t in targets_range:
             cum_sq[t] += sqs[t]

@@ -20,35 +20,18 @@ from .schema import (
     Prediction,
     Variant,
 )
+from .stats import unstandardize
 
 FADE_DECAY = 0.95
-
-_SD_EPSILON = 1e-12
-
-
-def _to_original(target_stats, z_values) -> list[float]:
-    """Inverse z-score a standardized prediction vector (inlined hot path)."""
-    sqrt = math.sqrt
-    out = []
-    for rs, z in zip(target_stats, z_values):
-        n = rs.n
-        if n == 0:
-            out.append(0.0)
-            continue
-        m2 = rs._m2
-        if m2 <= 0.0 or n < 2:
-            out.append(rs.sum / n)
-            continue
-        s = sqrt(m2 / (n - 1))
-        out.append(rs.sum / n if s < _SD_EPSILON else z * s + rs.sum / n)
-    return out
-
 
 class AffineLayer:
     """Dense affine map with a leading bias column; one output row per target.
 
     The bias input is fixed at 1. `update` applies one delta-rule step toward
-    the supplied standardized targets using the layer's own current output.
+    the supplied standardized targets using the layer's own current output;
+    `LeafPredictorSet.train` applies the same step to both of a leaf's layers.
+    Products use `ndarray.dot`, the same BLAS call as `@` with less overhead
+    per call on these small arrays.
     """
 
     __slots__ = ("weights",)
@@ -69,17 +52,11 @@ class AffineLayer:
         return aug
 
     def predict(self, inputs) -> np.ndarray:
-        return self.weights @ self.augment(inputs)
+        return self.weights.dot(self.augment(inputs))
 
     def update(self, inputs, targets_std, learning_rate: float) -> None:
         aug = self.augment(inputs)
-        self.update_aug(aug, self.weights @ aug, np.asarray(targets_std), learning_rate)
-
-    def update_aug(self, aug: np.ndarray, output: np.ndarray, targets_std: np.ndarray,
-                   learning_rate: float) -> None:
-        """Delta-rule step from an augmented input and the layer's current
-        output for it (`weights @ aug`), which the caller has already computed."""
-        error = targets_std - output
+        error = np.asarray(targets_std) - self.weights.dot(aug)
         self.weights += (error * learning_rate)[:, None] * aug
 
     def copy(self) -> "AffineLayer":
@@ -136,7 +113,7 @@ class LeafPredictorSet:
     """
 
     __slots__ = ("variant", "n_features", "n_targets", "base", "meta",
-                 "fmae", "learning_rate")
+                 "fmae", "learning_rate", "train_inputs")
 
     def __init__(self, variant: Variant, n_features: int, n_targets: int,
                  learning_rate: float, rng: np.random.Generator):
@@ -149,6 +126,10 @@ class LeafPredictorSet:
         self.meta = AffineLayer.random(n_targets, n_targets, rng) \
             if variant.has_meta_layer else None
         self.fmae = {name: FadedError(n_targets) for name in variant.scored}
+        # augmented-input buffers of `train` (bias slot preset to 1), shared by
+        # every predictor set spawned from this one, i.e. by one tree's leaves
+        self.train_inputs = (np.ones(n_features + 1), np.ones(n_targets + 1)) \
+            if variant.has_base_layer else None
 
     def spawn_child(self) -> "LeafPredictorSet":
         """Child predictor set for a fresh leaf after a split: weights are
@@ -161,23 +142,27 @@ class LeafPredictorSet:
         child.base = self.base.copy() if self.base is not None else None
         child.meta = self.meta.copy() if self.meta is not None else None
         child.fmae = {name: FadedError(self.n_targets) for name in self.variant.scored}
+        child.train_inputs = self.train_inputs
         return child
 
     def _candidates(self, x_std, stats) -> dict[str, list[float]]:
-        """Original-scale prediction of every scored predictor."""
+        """Original-scale prediction of every scored predictor, all Python
+        floats. `x_std` is read only when the variant has a base layer.
+
+        Inputs are built fresh on every call, not in the `train` buffers,
+        because `predict` may run concurrently."""
+        means, sds = stats.target_scales()
         out = {}
         if MEAN_PRED in self.fmae:
-            out[MEAN_PRED] = stats.target_means()
+            out[MEAN_PRED] = means
         base = self.base
         if base is not None:
-            # tolist() first, so candidates and faded errors hold Python floats
-            base_std = base.weights @ AffineLayer.augment(x_std)
-            targets = stats.targets
+            base_std = base.weights.dot(np.array([1.0, *x_std])).tolist()
             if PERCEPTRON_PRED in self.fmae:
-                out[PERCEPTRON_PRED] = _to_original(targets, base_std.tolist())
+                out[PERCEPTRON_PRED] = unstandardize(base_std, means, sds)
             if self.meta is not None:
-                meta_std = self.meta.weights @ AffineLayer.augment(base_std)
-                out[STACKED_PRED] = _to_original(targets, meta_std.tolist())
+                meta_std = self.meta.weights.dot(np.array([1.0, *base_std])).tolist()
+                out[STACKED_PRED] = unstandardize(meta_std, means, sds)
         return out
 
     def select_from(self, candidates: dict[str, list[float]]) -> Prediction:
@@ -187,7 +172,7 @@ class LeafPredictorSet:
         selectable = self.variant.selectable
         if len(selectable) == 1:
             name = selectable[0]
-            return Prediction(values=tuple(map(float, candidates[name])),
+            return Prediction(values=tuple(candidates[name]),
                               per_target_source=(name,) * self.n_targets)
         fmae = self.fmae
         tables = [(name, fmae[name].num, fmae[name].den) for name in selectable]
@@ -202,7 +187,7 @@ class LeafPredictorSet:
                 if best_name is None or err < best_err:
                     best_err = err
                     best_name = name
-            values.append(float(candidates[best_name][t]))
+            values.append(candidates[best_name][t])
             sources.append(best_name)
         return Prediction(values=tuple(values), per_target_source=tuple(sources))
 
@@ -218,18 +203,22 @@ class LeafPredictorSet:
     def train(self, x_std, y_std) -> None:
         """One delta-rule step on both layers. The stacked layer consumes the
         base outputs as they were before the base layer moved; the base output
-        is computed once and serves as the base layer's own error term too."""
+        is computed once and serves as the base layer's own error term too.
+        Runs only on the single-writer learn path, so it fills the shared
+        `train_inputs` buffers instead of allocating."""
         base = self.base
         if base is None:
             return
-        x_aug = AffineLayer.augment(x_std)
-        base_std = base.weights @ x_aug
-        y = np.asarray(y_std)
+        x_aug, base_aug = self.train_inputs
+        x_aug[1:] = x_std
+        base_std = base.weights.dot(x_aug)
+        y = np.array(y_std)
+        lr = self.learning_rate
         meta = self.meta
         if meta is not None:
-            base_aug = AffineLayer.augment(base_std)
-            meta.update_aug(base_aug, meta.weights @ base_aug, y, self.learning_rate)
-        base.update_aug(x_aug, base_std, y, self.learning_rate)
+            base_aug[1:] = base_std
+            meta.weights += ((y - meta.weights.dot(base_aug)) * lr)[:, None] * base_aug
+        base.weights += ((y - base_std) * lr)[:, None] * x_aug
 
     def weight_slots(self) -> int:
         slots = 0

@@ -4,8 +4,9 @@ Numeric features are tracked per distinct observed value: one column per
 value, accumulating the count, per-target sum, and per-target sum of squares
 of the examples carrying that exact value. Examples arrive in blocks: `fold`
 merges a block's new values into the sorted key array with `searchsorted`
-and `insert`, then adds every example's (1, y, y^2) row to its key's column
-with one `np.add.at`, in arrival order. The keys stay sorted, so scanning
+and `insert`, each new value's column being its first example's (1, y, y^2)
+row, then adds every later example's row to its key's column with one
+`np.add.at`, in arrival order. The keys stay sorted, so scanning
 candidates is one prefix sum over the columns, which reconstructs, for every
 observed value as a `v <= key` threshold, the exact left/right partition
 statistics in a handful of vectorized passes.
@@ -114,23 +115,32 @@ class EBSTObserver:
         """Add the rows of `block` to the columns of `values`, one example per
         row in arrival order. Every value must already be in `seen`.
 
-        A new key's column starts at -0.0, the additive identity, so its
-        first example's row is copied bit for bit; later rows add in arrival
-        order, the order of one-at-a-time inserts.
+        A new key's column is its first example's row, inserted as is: bit
+        for bit the sum -0.0 + row, since -0.0 is the additive identity.
+        The remaining rows add in arrival order, the order of one-at-a-time
+        inserts.
         """
         keys = self.keys
         at = np.searchsorted(keys, values)
         found = at < len(keys)
         found[found] = keys[at[found]] == values[found]
-        if not found.all():
-            fresh = values[~found]
-            _, first = np.unique(fresh, return_index=True)  # stable: first seen
-            fresh = fresh[first]
-            where = np.searchsorted(keys, fresh)
-            self.keys = keys = np.insert(keys, where, fresh)
-            self.rows = np.insert(self.rows, where, -0.0, axis=1)
-            at = np.searchsorted(keys, values)
-        np.add.at(self.rows.T, at, block)
+        if found.all():
+            np.add.at(self.rows.T, at, block)
+            return
+        if len(values) == 1:
+            first = np.zeros(1, dtype=np.intp)
+        else:
+            unseen = np.flatnonzero(~found)
+            _, first = np.unique(values[unseen], return_index=True)  # stable: first seen
+            first = unseen[first]
+        fresh = values[first]
+        where = np.searchsorted(keys, fresh)
+        self.keys = keys = np.insert(keys, where, fresh)
+        self.rows = np.insert(self.rows, where, block[first].T, axis=1)
+        if len(first) < len(values):
+            rest = np.ones(len(values), dtype=bool)
+            rest[first] = False
+            np.add.at(self.rows.T, np.searchsorted(keys, values[rest]), block[rest])
 
     @property
     def node_count(self) -> int:

@@ -102,14 +102,20 @@ class RunningStats:
         return f"RunningStats(n={self.n}, mean={self.mean:.6g}, var={self.variance():.6g})"
 
 
+def unstandardize(z_values, means, sds) -> list[float]:
+    """Map standardized predictions back with `VectorStats.target_scales`;
+    equal to `RunningStats.inverse_zscore` target by target."""
+    return [m if s is None else z * s + m for z, m, s in zip(z_values, means, sds)]
+
+
 class VectorStats:
     """Per-variable RunningStats for a leaf: numeric features and all targets.
 
     Nominal feature slots stay None (standardization applies to numeric input
     only); every instance contributes to every target, so target counts agree.
-    The standardize_* methods feed the leaf models and therefore gate and
-    clamp (see MIN_STANDARDIZE_N / Z_CLAMP); raw z-scores are available on the
-    component RunningStats.
+    The z-scores of `learn` and `standardize_features` feed the leaf models
+    and therefore gate and clamp (see MIN_STANDARDIZE_N / Z_CLAMP); raw
+    z-scores are available on the component RunningStats.
     """
 
     __slots__ = ("features", "targets")
@@ -119,18 +125,50 @@ class VectorStats:
         self.features = [RunningStats() if i in numeric else None for i in range(n_features)]
         self.targets = [RunningStats() for _ in range(n_targets)]
 
-    def update_targets(self, targets) -> None:
-        for rs, v in zip(self.targets, targets):
-            rs.update(v)
-
-    def update_feature(self, index: int, v: float) -> None:
-        rs = self.features[index]
-        if rs is not None:
-            rs.update(v)
-
     @property
     def n_seen(self) -> int:
         return self.targets[0].n
+
+    def learn(self, features, targets, standardize: bool = True):
+        """Fold one instance into the statistics in one pass: the Welford step
+        of `RunningStats.update` for every target and every present numeric
+        feature. With `standardize`, return the leaf-model inputs read from
+        the updated state: `standardize_features(features)` and the targets'
+        z-scores clamped to +/- Z_CLAMP. Otherwise return None."""
+        sqrt = math.sqrt
+        x_std = []
+        y_std = []
+        # a target's z-score needs n >= 2, which every non-first update meets
+        for slots, values, min_n, out in ((self.features, features, MIN_STANDARDIZE_N, x_std),
+                                          (self.targets, targets, 2, y_std)):
+            for rs, v in zip(slots, values):
+                if rs is None or v is None:
+                    out.append(0.0)
+                    continue
+                n = rs.n
+                if n == 0:
+                    rs.n = 1
+                    rs.sum += v  # 0.0 + v, as update does: a first -0.0 sums to 0.0
+                    out.append(0.0)
+                    continue
+                total = rs.sum
+                mean_old = total / n
+                n += 1
+                total += v
+                rs.n = n
+                rs.sum = total
+                m2 = rs._m2 + (v - mean_old) * (v - total / n)
+                rs._m2 = m2
+                if not standardize or n < min_n or m2 <= 0.0:
+                    out.append(0.0)
+                    continue
+                s = sqrt(m2 / (n - 1))
+                if s < SD_EPSILON:
+                    out.append(0.0)
+                    continue
+                z = (v - total / n) / s
+                out.append(Z_CLAMP if z > Z_CLAMP else (-Z_CLAMP if z < -Z_CLAMP else z))
+        return (x_std, y_std) if standardize else None
 
     def standardize_features(self, values) -> list[float]:
         """Clamped z-scores for one instance; missing and nominal slots map
@@ -154,15 +192,28 @@ class VectorStats:
             out.append(Z_CLAMP if z > Z_CLAMP else (-Z_CLAMP if z < -Z_CLAMP else z))
         return out
 
-    def standardize_targets(self, values) -> list[float]:
-        out = []
-        for rs, v in zip(self.targets, values):
-            z = rs.zscore(v)
-            out.append(Z_CLAMP if z > Z_CLAMP else (-Z_CLAMP if z < -Z_CLAMP else z))
-        return out
-
-    def target_means(self) -> list[float]:
-        return [rs.sum / rs.n if rs.n else 0.0 for rs in self.targets]
+    def target_scales(self) -> tuple[list[float], list]:
+        """Per-target (means, standard deviations) for mapping standardized
+        predictions back, by the branches of `RunningStats.inverse_zscore`:
+        the mean is 0.0 before any data, and the deviation is None where it
+        is degenerate, so the inverse is the mean (see `unstandardize`)."""
+        sqrt = math.sqrt
+        means = []
+        sds = []
+        for rs in self.targets:
+            n = rs.n
+            if n == 0:
+                means.append(0.0)
+                sds.append(None)
+                continue
+            means.append(rs.sum / n)
+            m2 = rs._m2
+            if n < 2 or m2 <= 0.0:
+                sds.append(None)
+                continue
+            s = sqrt(m2 / (n - 1))
+            sds.append(None if s < SD_EPSILON else s)
+        return means, sds
 
     def state(self) -> tuple:
         return (

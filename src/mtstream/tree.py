@@ -92,14 +92,14 @@ class LeafNode:
         if not pending:
             return
         block = moment_block([inst.targets for inst in pending])
-        columns = zip(*[inst.features for inst in pending])
-        for obs, column in zip(self.observers, columns):
-            values = np.array(column, dtype=float)
-            present = values == values
-            if present.all():
-                obs.fold(values, block)
-            elif present.any():
-                obs.fold(values[present], block[present])
+        values = np.array([inst.features for inst in pending], dtype=float)
+        present = values == values
+        for obs, column, mask, full in zip(self.observers, values.T, present.T,
+                                           present.all(axis=0).tolist()):
+            if full:
+                obs.fold(column, block)
+            elif mask.any():
+                obs.fold(column[mask], block[mask])
         self.pending = []
 
 
@@ -112,6 +112,8 @@ class MultiTargetHoeffdingTree:
         self.params = self.config.hoeffding_params()
         self.rng = np.random.default_rng(self.config.seed)
         self._numeric = tuple(schema.numeric_indices())
+        # only linear leaf models read z-scores; mean leaves skip them
+        self._standardize = self.config.variant.has_base_layer
         self.root: SplitNode | LeafNode = self._new_leaf()
         self.leaf_count = 1
         self.split_count = 0
@@ -158,25 +160,17 @@ class MultiTargetHoeffdingTree:
         """Descend to the leaf responsible for `instance`. Missing numeric
         values go left; missing or out-of-range nominal values go to the
         first child."""
-        node = self.root
-        while not node.is_leaf:
-            v = instance.features[node.feature]
-            if node.threshold is not None:
-                node = node.children[0] if v is None or v <= node.threshold \
-                    else node.children[1]
-            else:
-                if isinstance(v, int) and 0 <= v < len(node.children):
-                    node = node.children[v]
-                else:
-                    node = node.children[0]
-        return node
+        return self._descend(instance)[0]
 
-    def _route_with_parent(self, instance: Instance):
+    def _descend(self, instance: Instance):
+        """(leaf, parent split node or None, the leaf's index among the
+        parent's children) of the descent that `route` describes."""
         parent = None
         index = 0
         node = self.root
+        features = instance.features
         while not node.is_leaf:
-            v = instance.features[node.feature]
+            v = features[node.feature]
             if node.threshold is not None:
                 index = 0 if v is None or v <= node.threshold else 1
             elif isinstance(v, int) and 0 <= v < len(node.children):
@@ -195,9 +189,10 @@ class MultiTargetHoeffdingTree:
         self.schema.validate_instance(instance)
         instance = self.schema.nonfinite_as_missing(instance)
         leaf = self.route(instance)
-        x_std = leaf.stats.standardize_features(instance.features)
+        stats = leaf.stats
+        x_std = stats.standardize_features(instance.features) if self._standardize else None
         predictors = leaf.predictors
-        return predictors.select_from(predictors._candidates(x_std, leaf.stats))
+        return predictors.select_from(predictors._candidates(x_std, stats))
 
     def learn(self, instance: Instance) -> None:
         """Fold one example into exactly one leaf; attempt a split when that
@@ -217,29 +212,31 @@ class MultiTargetHoeffdingTree:
         if not (schema.targets_finite(instance) and schema.features_finite(instance)):
             self.rejected_count += 1
             return self.predict(instance) if want_prediction else None
-        leaf, parent, child_index = self._route_with_parent(instance)
+        leaf, parent, child_index = self._descend(instance)
+        features = instance.features
         y = instance.targets
+        stats = leaf.stats
+        predictors = leaf.predictors
+        standardize = self._standardize
 
         # score predictors against the untouched leaf state (test-then-train)
-        x_std = leaf.stats.standardize_features(instance.features)
-        candidates = leaf.predictors._candidates(x_std, leaf.stats)
-        prediction = leaf.predictors.select_from(candidates) if want_prediction else None
-        leaf.predictors.score_candidates(candidates, y)
+        x_std = stats.standardize_features(features) if standardize else None
+        candidates = predictors._candidates(x_std, stats)
+        prediction = predictors.select_from(candidates) if want_prediction else None
+        predictors.score_candidates(candidates, y)
 
-        leaf.stats.update_targets(y)
-        features = instance.features
-        update_feature = leaf.stats.update_feature
         observers = leaf.observers
         for i in self._numeric:
             v = features[i]
             if v is not None:
-                update_feature(i, v)
                 observers[i].seen.add(v)
         leaf.pending.append(instance)  # folded at the next split attempt
 
-        x_std = leaf.stats.standardize_features(features)
-        y_std = leaf.stats.standardize_targets(y)
-        leaf.predictors.train(x_std, y_std)
+        # one pass updates the statistics and, for linear leaves, returns the
+        # standardized inputs and targets of the updated state
+        scaled = stats.learn(features, y, standardize)
+        if standardize:
+            predictors.train(*scaled)
 
         leaf.examples_seen += 1
         leaf.since_attempt += 1

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -156,6 +158,67 @@ class TestLearnContract:
             a.learn(inst)
             b.learn(inst)
         assert a.serialize() == b.serialize()
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_predict_on_another_leaf_between_steps_changes_nothing(self, variant):
+        instances = step_instances(1500, seed=8)
+        schema = numeric_schema(4, 2)
+        config = TreeConfig(variant=variant, grace_period=100, seed=2)
+        plain = MultiTargetHoeffdingTree(schema, config)
+        probed = MultiTargetHoeffdingTree(schema, config)
+        elsewhere = 0
+        for inst in instances:
+            a = plain.predict_then_learn(inst)
+            # the mirror image on the split feature lands in the other half
+            probe = Instance(features=(1.0 - inst.features[0],) + inst.features[1:],
+                             targets=inst.targets)
+            elsewhere += probed.route(probe) is not probed.route(inst)
+            probed.predict(probe)
+            assert probed.predict_then_learn(inst) == a
+        assert elsewhere > 500
+        assert probed.serialize() == plain.serialize()
+
+    def test_concurrent_predicts_match_serial(self):
+        instances = step_instances(1200, seed=6)
+        tree = grown_tree(instances, numeric_schema(4, 2),
+                          variant=Variant.STACKED_ADAPTIVE, grace_period=100)
+        assert tree.leaf_count > 1
+        probes = step_instances(300, seed=7)
+        serial = [tree.predict(p) for p in probes]
+        start = threading.Barrier(4)
+        results = [None] * 4
+
+        def worker(k):
+            start.wait()
+            results[k] = [tree.predict(p) for p in probes]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r == serial for r in results)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_prediction_values_are_python_floats(self, variant):
+        schema = StreamSchema(
+            features=(FeatureSpec("c", kind=NOMINAL, categories=("a", "b")),
+                      FeatureSpec("x"), FeatureSpec("w")),
+            targets=("y0", "y1"))
+        rng = np.random.default_rng(9)
+        tree = MultiTargetHoeffdingTree(schema, TreeConfig(variant=variant, grace_period=50))
+        for k in range(400):
+            c = int(rng.integers(0, 2))
+            x = None if k % 7 == 0 else float(rng.random())
+            inst = Instance(features=(c, x, float(rng.random())),
+                            targets=(float(c) + (x or 0.0), float(rng.normal())))
+            for prediction in (tree.predict(inst), tree.predict_then_learn(inst)):
+                assert all(type(v) is float for v in prediction.values)
 
     def test_empty_tree_mean_prediction_is_zero(self):
         tree = MultiTargetHoeffdingTree(numeric_schema(2, 3),
