@@ -17,7 +17,7 @@ from .evaluation import (
     friedman_nemenyi,
     run_prequential,
 )
-from .leaf_models import AffineLayer, FadedError, LeafPredictorSet
+from .leaf_models import FadedError, LeafPredictorSet
 from .observers import EBSTObserver, NominalObserver, SplitSuggestion
 from .schema import (
     FeatureSpec,
@@ -44,7 +44,6 @@ from .tree import MultiTargetHoeffdingTree, TreeConfig
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineLayer",
     "ComparisonResult",
     "ConfigError",
     "CsvSchemaDecl",

@@ -115,7 +115,6 @@ def parse_tree_section(doc: dict, variant: Variant, seed: int) -> TreeConfig:
             tau=float(doc.get("tau", 0.05)),
             grace_period=int(doc.get("grace_period", 200)),
             learning_rate=float(doc.get("learning_rate", 0.01)),
-            warm_start=int(doc.get("warm_start", 200)),
             seed=seed,
         )
     except ValueError as exc:

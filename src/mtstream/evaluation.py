@@ -53,12 +53,6 @@ class PrequentialConfig:
     def repetitions(self) -> int:
         return len(self.seeds)
 
-    @classmethod
-    def with_repetitions(cls, repetitions: int, base_seed: int = 0,
-                         window: int = 200, warm_start: int = 200) -> "PrequentialConfig":
-        return cls(window=window, warm_start=warm_start,
-                   seeds=tuple(base_seed + i for i in range(repetitions)))
-
 
 @dataclass(frozen=True)
 class WindowRow:
@@ -89,9 +83,6 @@ class WindowedReport:
     @property
     def summed_window_error(self) -> float:
         return sum(r.armse for r in self.rows)
-
-    def window_errors(self) -> list[float]:
-        return [r.armse for r in self.rows]
 
 
 def run_prequential(source, tree_config: TreeConfig,
@@ -146,16 +137,24 @@ def run_prequential(source, tree_config: TreeConfig,
         warmed += 1
 
     targets_range = range(d)
-    isnan = math.isnan
-    for inst in stream:
+    isfinite = math.isfinite
+    for index, inst in enumerate(stream, start=warmed):
         t0 = clock()
         prediction = tree.predict_then_learn(inst)
         elapsed += clock() - t0
         y = inst.targets
         p = prediction.values
-        sqs = [(y[t] - p[t]) ** 2 for t in targets_range]
-        if isnan(sum(sqs)):  # squares are >= 0, so only a NaN makes a NaN sum
-            continue  # non-finite target: rejected by the tree, not evaluated
+        try:
+            sqs = [(y[t] - p[t]) ** 2 for t in targets_range]
+        except OverflowError:  # float ** 2 raises where x * x would give inf
+            sqs = None
+        if sqs is None or not isfinite(sum(sqs)):
+            if not all(map(isfinite, y)):
+                continue  # non-finite target: rejected by the tree, not evaluated
+            raise EvaluationError(
+                f"dataset {dataset!r}, variant {report.variant}, seed {report.seed}: "
+                f"example {index} has finite targets but the prediction "
+                f"{tuple(p)} has a non-finite squared error")
         for t in targets_range:
             cum_sq[t] += sqs[t]
             win_sq[t] += sqs[t]

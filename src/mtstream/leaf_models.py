@@ -24,56 +24,15 @@ from .stats import unstandardize
 
 FADE_DECAY = 0.95
 
-class AffineLayer:
-    """Dense affine map with a leading bias column; one output row per target.
-
-    The bias input is fixed at 1. `update` applies one delta-rule step toward
-    the supplied standardized targets using the layer's own current output;
-    `LeafPredictorSet.train` applies the same step to both of a leaf's layers.
-    Products use `ndarray.dot`, the same BLAS call as `@` with less overhead
-    per call on these small arrays.
-    """
-
-    __slots__ = ("weights",)
-
-    def __init__(self, weights: np.ndarray):
-        self.weights = np.asarray(weights, dtype=float)
-
-    @classmethod
-    def random(cls, n_outputs: int, n_inputs: int, rng: np.random.Generator) -> "AffineLayer":
-        return cls(rng.uniform(-1.0, 1.0, size=(n_outputs, n_inputs + 1)))
-
-    @staticmethod
-    def augment(inputs) -> np.ndarray:
-        """Prepend the fixed bias input 1."""
-        aug = np.empty(len(inputs) + 1)
-        aug[0] = 1.0
-        aug[1:] = inputs
-        return aug
-
-    def predict(self, inputs) -> np.ndarray:
-        return self.weights.dot(self.augment(inputs))
-
-    def update(self, inputs, targets_std, learning_rate: float) -> None:
-        aug = self.augment(inputs)
-        error = np.asarray(targets_std) - self.weights.dot(aug)
-        self.weights += (error * learning_rate)[:, None] * aug
-
-    def copy(self) -> "AffineLayer":
-        return AffineLayer(self.weights.copy())
-
-    @property
-    def n_parameters(self) -> int:
-        return self.weights.size
-
 
 class FadedError:
-    """Per-target exponentially faded mean absolute error for one predictor.
+    """Per-target faded absolute-error sums of one predictor: `num` and `den`.
 
-    Each observation decays previous evidence by 0.95 and adds one unit of
-    weight, so the denominator is bounded by 1/(1 - 0.95) = 20. Before the
-    first observation the error reads as +inf, so fresh predictors tie and
-    the tie-break order decides.
+    `LeafPredictorSet.score_candidates` folds each example in: both sums
+    decay by 0.95, `num` adds the absolute error and `den` adds 1, so `den`
+    stays below 1/(1 - 0.95) = 20. `LeafPredictorSet.select_from` reads the
+    error as num/den, or +inf before the first example, so fresh predictors
+    tie and the tie-break order decides.
     """
 
     __slots__ = ("num", "den")
@@ -82,30 +41,18 @@ class FadedError:
         self.num = [0.0] * n_targets
         self.den = [0.0] * n_targets
 
-    def update(self, abs_errors) -> None:
-        num = self.num
-        den = self.den
-        for t, e in enumerate(abs_errors):
-            num[t] = FADE_DECAY * num[t] + e
-            den[t] = FADE_DECAY * den[t] + 1.0
-
-    def update_one(self, target_index: int, abs_error: float) -> None:
-        self.num[target_index] = FADE_DECAY * self.num[target_index] + abs_error
-        self.den[target_index] = FADE_DECAY * self.den[target_index] + 1.0
-
-    def value(self, target_index: int) -> float:
-        d = self.den[target_index]
-        return self.num[target_index] / d if d > 0.0 else math.inf
-
-    def values(self) -> list[float]:
-        return [n / d if d > 0.0 else math.inf for n, d in zip(self.num, self.den)]
-
     def state(self) -> tuple:
         return (tuple(self.num), tuple(self.den))
 
 
 class LeafPredictorSet:
     """The predictor stack one leaf carries, shaped by the tree variant.
+
+    `base` is the per-target linear layer, a (d, m + 1) weight array whose
+    column 0 multiplies the fixed bias input 1; `meta` is the stacked layer
+    over the base outputs, a (d, d + 1) array. Either is None when the
+    variant lacks it. Products use `ndarray.dot`, the same BLAS call as `@`
+    with less overhead per call on these small arrays.
 
     Faded errors are tracked for every predictor the leaf evaluates per
     example (the variant's `scored` set); selection draws from the variant's
@@ -121,9 +68,9 @@ class LeafPredictorSet:
         self.n_features = n_features
         self.n_targets = n_targets
         self.learning_rate = learning_rate
-        self.base = AffineLayer.random(n_targets, n_features, rng) \
+        self.base = rng.uniform(-1.0, 1.0, size=(n_targets, n_features + 1)) \
             if variant.has_base_layer else None
-        self.meta = AffineLayer.random(n_targets, n_targets, rng) \
+        self.meta = rng.uniform(-1.0, 1.0, size=(n_targets, n_targets + 1)) \
             if variant.has_meta_layer else None
         self.fmae = {name: FadedError(n_targets) for name in variant.scored}
         # augmented-input buffers of `train` (bias slot preset to 1), shared by
@@ -157,11 +104,11 @@ class LeafPredictorSet:
             out[MEAN_PRED] = means
         base = self.base
         if base is not None:
-            base_std = base.weights.dot(np.array([1.0, *x_std])).tolist()
+            base_std = base.dot(np.array([1.0, *x_std])).tolist()
             if PERCEPTRON_PRED in self.fmae:
                 out[PERCEPTRON_PRED] = unstandardize(base_std, means, sds)
             if self.meta is not None:
-                meta_std = self.meta.weights.dot(np.array([1.0, *base_std])).tolist()
+                meta_std = self.meta.dot(np.array([1.0, *base_std])).tolist()
                 out[STACKED_PRED] = unstandardize(meta_std, means, sds)
         return out
 
@@ -211,21 +158,21 @@ class LeafPredictorSet:
             return
         x_aug, base_aug = self.train_inputs
         x_aug[1:] = x_std
-        base_std = base.weights.dot(x_aug)
+        base_std = base.dot(x_aug)
         y = np.array(y_std)
         lr = self.learning_rate
         meta = self.meta
         if meta is not None:
             base_aug[1:] = base_std
-            meta.weights += ((y - meta.weights.dot(base_aug)) * lr)[:, None] * base_aug
-        base.weights += ((y - base_std) * lr)[:, None] * x_aug
+            meta += ((y - meta.dot(base_aug)) * lr)[:, None] * base_aug
+        base += ((y - base_std) * lr)[:, None] * x_aug
 
     def weight_slots(self) -> int:
         slots = 0
         if self.base is not None:
-            slots += self.base.n_parameters
+            slots += self.base.size
         if self.meta is not None:
-            slots += self.meta.n_parameters
+            slots += self.meta.size
         return slots
 
     def fade_slots(self) -> int:
@@ -234,7 +181,7 @@ class LeafPredictorSet:
     def state(self) -> tuple:
         return (
             self.variant.value,
-            tuple(map(tuple, self.base.weights.tolist())) if self.base is not None else None,
-            tuple(map(tuple, self.meta.weights.tolist())) if self.meta is not None else None,
+            tuple(map(tuple, self.base.tolist())) if self.base is not None else None,
+            tuple(map(tuple, self.meta.tolist())) if self.meta is not None else None,
             tuple((name, self.fmae[name].state()) for name in sorted(self.fmae)),
         )

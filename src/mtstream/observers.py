@@ -143,10 +143,8 @@ class EBSTObserver:
             np.add.at(self.rows.T, np.searchsorted(keys, values[rest]), block[rest])
 
     @property
-    def node_count(self) -> int:
+    def distinct_keys(self) -> int:
         return len(self.seen)
-
-    distinct_keys = node_count
 
     def _scan(self, parent):
         """Vectorized candidate evaluation.

@@ -127,11 +127,11 @@ class Instance:
     targets: tuple
 
 
-# Per-target predictor names, also the fixed tie-break order (cheapest first).
+# Per-target predictor names, cheapest first: the tie-break order that
+# `Variant.selectable` lists them in.
 MEAN_PRED = "mean"
 PERCEPTRON_PRED = "perceptron"
 STACKED_PRED = "stacked"
-PREDICTOR_ORDER = (MEAN_PRED, PERCEPTRON_PRED, STACKED_PRED)
 
 
 @dataclass(frozen=True)

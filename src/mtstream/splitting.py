@@ -26,7 +26,7 @@ class HoeffdingParams:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.tau < 0.0:
+        if not self.tau >= 0.0:  # also rejects NaN
             raise ValueError(f"tau must be >= 0, got {self.tau}")
         if self.grace_period < 1:
             raise ValueError(f"grace_period must be >= 1, got {self.grace_period}")

@@ -86,9 +86,6 @@ class RunningStats:
             return self.sum / n
         return z * s + self.sum / n
 
-    def copy(self) -> "RunningStats":
-        return RunningStats(self.n, self.sum, self._m2)
-
     @classmethod
     def from_moments(cls, n: float, total: float, sum_sq: float) -> "RunningStats":
         """Build from raw (n, sum, sum of squares), e.g. observer aggregates."""

@@ -17,6 +17,7 @@ fully independent.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,8 @@ LEAF_COUNTER_SLOTS = 4  # examples seen, attempt counter, ratio total + count
 class TreeConfig:
     """Tree hyperparameters. Defaults are the benchmark settings: split
     attempts every 200 examples, confidence 1e-7, tie-break 0.05, learning
-    rate 0.01, 200 warm-start examples, weights drawn uniformly from [-1, 1].
+    rate 0.01, weights drawn uniformly from [-1, 1]. Invalid values raise
+    ValueError here, not when a tree is built.
     """
 
     variant: Variant = Variant.STACKED_ADAPTIVE
@@ -46,8 +48,12 @@ class TreeConfig:
     tau: float = 0.05
     grace_period: int = 200
     learning_rate: float = 0.01
-    warm_start: int = 200
     seed: int = 0
+
+    def __post_init__(self):
+        self.hoeffding_params()
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
     def hoeffding_params(self) -> HoeffdingParams:
         return HoeffdingParams(delta=self.delta, tau=self.tau,

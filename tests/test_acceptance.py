@@ -24,7 +24,7 @@ from mtstream import (
     numeric_schema,
     run_prequential,
 )
-from mtstream.leaf_models import AffineLayer, FadedError
+from mtstream.leaf_models import LeafPredictorSet
 from mtstream.observers import EBSTObserver
 from mtstream.stats import RunningStats
 from mtstream.tree import MultiTargetHoeffdingTree
@@ -238,7 +238,10 @@ def test_criterion_07_selection_matches_faded_error_argmin():
     checked = 0
     for inst in source:
         leaf = tree.route(inst)
-        snapshot = {name: leaf.predictors.fmae[name].values() for name in order}
+        fmae = leaf.predictors.fmae
+        snapshot = {name: [n / d if d > 0.0 else math.inf
+                           for n, d in zip(fmae[name].num, fmae[name].den)]
+                    for name in order}
         prediction = tree.predict_then_learn(inst)
         for t, chosen in enumerate(prediction.per_target_source):
             best = min(order, key=lambda name: (snapshot[name][t],
@@ -264,34 +267,42 @@ def test_criterion_08_nemenyi_critical_difference():
 
 # -- 9: faded-error fixed point -------------------------------------------------
 
-def test_criterion_09_faded_error_fixed_point():
-    fe = FadedError(1)
-    for _ in range(500):
-        fe.update_one(0, 0.7)
-    assert abs(fe.value(0) - 0.7) < 1e-6
+def faded_mean_error(abs_errors) -> float:
+    """Feed absolute errors of the mean predictor through the tree's own
+    scoring step and read the faded error as num/den."""
+    ps = LeafPredictorSet(Variant.MEAN, 1, 1, learning_rate=0.01,
+                          rng=np.random.default_rng(9))
+    for e in abs_errors:
+        ps.score_candidates({"mean": [0.0]}, (e,))
+    fe = ps.fmae["mean"]
+    return fe.num[0] / fe.den[0]
 
-    fe2 = FadedError(1)
-    fe2.update_one(0, 1.0)
-    fe2.update_one(0, 0.0)
-    assert fe2.value(0) == 0.95 / 1.95
+
+def test_criterion_09_faded_error_fixed_point():
+    constant = faded_mean_error([0.7] * 500)
+    assert abs(constant - 0.7) < 1e-6
+
+    two_step = faded_mean_error([1.0, 0.0])
+    assert two_step == 0.95 / 1.95
     assert Fraction(19, 20) / Fraction(39, 20) == Fraction(19, 39)  # exact form
-    report(9, f"constant 0.7 stream -> fMAE {fe.value(0):.9f}; "
-              f"(1, 0) sequence -> exactly 0.95/1.95 = {0.95 / 1.95:.9f}")
+    report(9, f"constant 0.7 stream -> fMAE {constant:.9f}; "
+              f"(1, 0) sequence -> exactly 0.95/1.95 = {two_step:.9f}")
 
 
 # -- 10: delta-rule convergence to the least-squares line ------------------------
 
 def test_criterion_10_delta_rule_recovers_the_line():
+    # the leaf's base layer, trained by the tree's own delta-rule step
     rng = np.random.default_rng(10)
-    layer = AffineLayer(rng.uniform(-1.0, 1.0, size=(1, 2)))
+    leaf = LeafPredictorSet(Variant.PERCEPTRON, 1, 1, learning_rate=0.01, rng=rng)
     xs = rng.uniform(-1.0, 1.0, size=10_000)
     targets = 1.0 + 2.0 * xs
     for x, y in zip(xs, targets):
-        layer.update(np.array([x]), np.array([y]), learning_rate=0.01)
+        leaf.train([x], [y])
     design = np.column_stack([np.ones_like(xs), xs])
     oracle, *_ = np.linalg.lstsq(design, targets, rcond=None)
-    assert abs(layer.weights[0, 0] - oracle[0]) <= 0.05
-    assert abs(layer.weights[0, 1] - oracle[1]) <= 0.05
-    report(10, f"recovered (bias, slope) = ({layer.weights[0, 0]:.4f}, "
-               f"{layer.weights[0, 1]:.4f}) vs least squares ({oracle[0]:.4f}, "
-               f"{oracle[1]:.4f}) within 0.05")
+    bias, slope = leaf.base[0]
+    assert abs(bias - oracle[0]) <= 0.05
+    assert abs(slope - oracle[1]) <= 0.05
+    report(10, f"recovered (bias, slope) = ({bias:.4f}, {slope:.4f}) vs least "
+               f"squares ({oracle[0]:.4f}, {oracle[1]:.4f}) within 0.05")

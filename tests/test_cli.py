@@ -103,11 +103,28 @@ class TestRun:
         assert main(["run", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "o")]) == 2
 
-    def test_ascend_errors_exits_2(self, tmp_path):
-        cfg = run_config(tmp_path, tree={"ascend_errors": True})
+    @pytest.mark.parametrize("tree", [
+        {"ascend_errors": True}, {"delta": 2.0}, {"tau": -1}, {"grace_period": 0},
+        {"learning_rate": float("nan")},
+    ], ids=["ascend_errors", "delta", "tau", "grace_period", "learning_rate"])
+    def test_bad_tree_section_exits_2(self, tmp_path, capsys, tree):
+        cfg = run_config(tmp_path, tree=tree)
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 2
         assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_diverging_model_exits_1_naming_the_cell(self, tmp_path, capsys):
+        cfg = run_config(tmp_path, variants=("mean", "perceptron"),
+                         tree={"learning_rate": 1e300})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "dataset 'toy', variant perceptron, seed 0: example 200" in err
+        assert "misaligned" not in err
+        assert not list(out.glob("*.csv"))
 
     def test_unknown_variant_exits_2(self, tmp_path):
         cfg = run_config(tmp_path, variants=("turbo",))
@@ -151,14 +168,17 @@ class TestConfigDefaulting:
 
         tree = parse_tree_section({}, Variant.MEAN, seed=0)
         assert (tree.delta, tree.tau, tree.grace_period) == (1e-7, 0.05, 200)
-        assert (tree.learning_rate, tree.warm_start) == (0.01, 200)
+        assert tree.learning_rate == 0.01
         assert not hasattr(tree, "ascend_errors")
+        assert not hasattr(tree, "warm_start")  # an evaluation setting
 
         evaluation = parse_evaluation_section({}, {}, base_seed=5)
         assert evaluation.window == 200
         assert evaluation.warm_start == 200
         assert evaluation.repetitions == 30
         assert evaluation.seeds == tuple(range(5, 35))
+        # a JSON tree.warm_start still sets the evaluation default
+        assert parse_evaluation_section({}, {"warm_start": 50}, base_seed=0).warm_start == 50
 
         assert parse_variants(None) == list(Variant)
 

@@ -16,7 +16,7 @@ from mtstream.evaluation import (
     run_prequential,
     write_report_csv,
 )
-from mtstream.schema import Variant
+from mtstream.schema import Instance, Variant
 from mtstream.streams import GeneratorSpec, make_stream
 from mtstream.tree import MultiTargetHoeffdingTree, TreeConfig
 
@@ -44,8 +44,7 @@ class TestPrequentialConfig:
         assert (cfg.window, cfg.warm_start) == (200, 200)
 
     def test_seed_list_defines_repetitions(self):
-        cfg = PrequentialConfig.with_repetitions(5, base_seed=10)
-        assert cfg.seeds == (10, 11, 12, 13, 14)
+        cfg = PrequentialConfig(seeds=(10, 11, 12, 13, 14))
         assert cfg.repetitions == 5
 
     def test_validation(self):
@@ -58,6 +57,27 @@ class TestPrequentialConfig:
 def fried(n, seed=0, d=2, noise=1.0):
     return make_stream(GeneratorSpec(family="friedman_mt", n_examples=n,
                                      n_targets=d, noise_sd=noise, seed=seed))
+
+
+class ListSource:
+    """A replayable in-memory stream."""
+
+    def __init__(self, schema, instances):
+        self.schema = schema
+        self.instances = instances
+
+    def __iter__(self):
+        return iter(self.instances)
+
+
+def with_target(source, index, value):
+    """The stream's first 400 examples, with example `index` carrying `value`
+    as its first target."""
+    instances = list(source)[:400]
+    inst = instances[index]
+    instances[index] = Instance(features=inst.features,
+                                targets=(value, *inst.targets[1:]))
+    return ListSource(source.schema, instances)
 
 
 class TestRunPrequential:
@@ -135,6 +155,28 @@ class TestRunPrequential:
                                  PrequentialConfig(window=200, warm_start=200, seeds=(0,)))
         assert report.elapsed_s > 0
         assert all(r.elapsed_s <= report.elapsed_s for r in report.rows)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_is_skipped(self, bad):
+        config = PrequentialConfig(window=50, warm_start=100, seeds=(0,))
+        report = run_prequential(with_target(fried(400), 300, bad),
+                                 TreeConfig(variant=Variant.STACKED), config)
+        assert report.examples_evaluated == 299
+        assert report.rejected == 1
+        assert math.isfinite(report.cum_armse)
+        assert all(math.isfinite(r.armse) for r in report.rows)
+
+    @pytest.mark.parametrize("learning_rate", [10.0, 1e300], ids=["overflow", "nan"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_prediction_for_a_finite_target_raises(self, learning_rate):
+        """The diverging perceptron's predictions grow until squaring one
+        overflows (learning rate 10) or are NaN at once (1e300)."""
+        config = PrequentialConfig(window=50, warm_start=100, seeds=(4,))
+        tree_config = TreeConfig(variant=Variant.PERCEPTRON, learning_rate=learning_rate)
+        with pytest.raises(EvaluationError,
+                           match=r"dataset 'f', variant perceptron, seed 4: example \d+"):
+            run_prequential(fried(400), tree_config, config, seed=4, dataset="f")
 
     def test_report_csv_round_trip(self, tmp_path):
         report = run_prequential(fried(800, seed=2), TreeConfig(variant=Variant.MEAN),

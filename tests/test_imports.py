@@ -1,5 +1,5 @@
-"""Import hygiene: scipy is loaded only by the Friedman test's F survival
-function.
+"""Import hygiene: every public name resolves, and scipy is loaded only by
+the Friedman test's F survival function.
 
 `import scipy.stats` costs about 0.6 s and 70 MB, which every prequential
 process and every `mtstream run` pool worker would otherwise pay before its
@@ -21,6 +21,15 @@ def run_fresh(code: str) -> str:
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     return done.stdout
+
+
+def test_star_import_resolves_every_public_name():
+    out = run_fresh("import mtstream\n"
+                    "from mtstream import *\n"
+                    "names = mtstream.__all__\n"
+                    "print(len(names), all(globals()[n] is getattr(mtstream, n) for n in names))")
+    count, resolved = out.split()
+    assert int(count) > 0 and resolved == "True"
 
 
 def test_import_does_not_load_scipy():

@@ -1,103 +1,11 @@
 import numpy as np
 import pytest
 
-from mtstream.leaf_models import FADE_DECAY, AffineLayer, FadedError, LeafPredictorSet
+from mtstream.leaf_models import FADE_DECAY, FadedError, LeafPredictorSet
 from mtstream.schema import Variant
 from mtstream.stats import VectorStats
 from mtstream.streams import GeneratorSpec, make_stream
 from mtstream.tree import MultiTargetHoeffdingTree, TreeConfig
-
-
-class TestAffinePredict:
-    def test_zero_weights_annihilate(self):
-        layer = AffineLayer(np.zeros((3, 5)))
-        np.testing.assert_array_equal(layer.predict(np.ones(4)), np.zeros(3))
-
-    def test_direct_affine_evaluation(self):
-        layer = AffineLayer(np.array([[1.0, 2.0]]))
-        assert layer.predict(np.array([3.0]))[0] == pytest.approx(7.0)
-
-    def test_matches_dense_oracle(self):
-        rng = np.random.default_rng(42)
-        w = rng.normal(size=(8, 6))
-        x = rng.normal(size=5)
-        expected = w @ np.concatenate([[1.0], x])
-        np.testing.assert_allclose(AffineLayer(w).predict(x), expected, atol=1e-12)
-
-
-class TestAffineUpdate:
-    def test_single_step_on_bias(self):
-        layer = AffineLayer(np.zeros((1, 1)))
-        layer.update(np.empty(0), np.array([1.0]), learning_rate=0.1)
-        assert layer.weights[0, 0] == pytest.approx(0.1)
-
-    def test_zero_error_is_a_no_op(self):
-        rng = np.random.default_rng(0)
-        w = rng.normal(size=(2, 4))
-        layer = AffineLayer(w.copy())
-        x = rng.normal(size=3)
-        layer.update(x, layer.predict(x), learning_rate=0.5)
-        np.testing.assert_allclose(layer.weights, w, atol=1e-15)
-
-    def test_converges_to_least_squares_line(self):
-        rng = np.random.default_rng(42)
-        layer = AffineLayer(rng.uniform(-1, 1, size=(1, 2)))
-        xs = rng.uniform(-1, 1, size=10_000)
-        for x in xs:
-            layer.update(np.array([x]), np.array([2.0 * x + 1.0]), learning_rate=0.01)
-        design = np.column_stack([np.ones_like(xs), xs])
-        oracle, *_ = np.linalg.lstsq(design, 2.0 * xs + 1.0, rcond=None)
-        np.testing.assert_allclose(layer.weights[0], oracle, atol=0.05)
-
-    def test_stacked_dimensions_converge_too(self):
-        # meta-shaped layer: inputs are d base outputs, targets an affine mix
-        rng = np.random.default_rng(3)
-        d = 3
-        layer = AffineLayer(rng.uniform(-1, 1, size=(d, d + 1)))
-        truth = np.array([[0.5, 1.0, 0.0, 0.0],
-                          [-1.0, 0.0, 1.0, 0.0],
-                          [0.25, 0.5, 0.5, 0.0]])
-        for _ in range(20_000):
-            u = rng.uniform(-1, 1, size=d)
-            target = truth @ np.concatenate([[1.0], u])
-            layer.update(u, target, learning_rate=0.01)
-        np.testing.assert_allclose(layer.weights, truth, atol=0.05)
-
-    def test_meta_layer_has_fewer_parameters_when_targets_are_few(self):
-        d, m = 3, 10
-        base = AffineLayer(np.zeros((d, m + 1)))
-        meta = AffineLayer(np.zeros((d, d + 1)))
-        assert meta.n_parameters == d * (d + 1)
-        assert base.n_parameters == d * (m + 1)
-        assert meta.n_parameters < base.n_parameters
-
-
-class TestFadedError:
-    def test_first_error_passes_through(self):
-        fe = FadedError(1)
-        fe.update_one(0, 1.0)
-        assert fe.value(0) == pytest.approx(1.0)
-
-    def test_two_step_sequence(self):
-        fe = FadedError(1)
-        fe.update_one(0, 1.0)
-        fe.update_one(0, 0.0)
-        assert fe.value(0) == 0.95 / 1.95
-
-    def test_constant_error_is_a_fixed_point(self):
-        fe = FadedError(1)
-        for _ in range(500):
-            fe.update_one(0, 0.7)
-        assert fe.value(0) == pytest.approx(0.7, abs=1e-12)
-
-    def test_denominator_bounded_by_twenty(self):
-        fe = FadedError(2)
-        for _ in range(10_000):
-            fe.update([1.0, 2.0])
-        assert all(v < 1.0 / (1.0 - FADE_DECAY) for v in fe.den)
-
-    def test_unobserved_is_infinite(self):
-        assert FadedError(1).value(0) == np.inf
 
 
 def make_stats(d, means, sds):
@@ -111,25 +19,177 @@ def make_stats(d, means, sds):
     return vs
 
 
-def make_set(variant, m=2, d=2, seed=0):
+def make_set(variant, m=2, d=2, seed=0, learning_rate=0.01):
     rng = np.random.default_rng(seed)
-    return LeafPredictorSet(variant, m, d, learning_rate=0.01, rng=rng)
+    return LeafPredictorSet(variant, m, d, learning_rate=learning_rate, rng=rng)
+
+
+def perceptron(weights, learning_rate=0.01):
+    """Perceptron leaf whose base layer holds the given (d, m + 1) weights."""
+    weights = np.array(weights, dtype=float)
+    d, m = weights.shape[0], weights.shape[1] - 1
+    ps = make_set(Variant.PERCEPTRON, m=m, d=d, learning_rate=learning_rate)
+    ps.base = weights
+    return ps
+
+
+def score(ps, **errors):
+    """One `score_candidates` step in which each named predictor misses every
+    target by the given absolute error."""
+    d = ps.n_targets
+    ps.score_candidates({name: [-err] * d for name, err in errors.items()}, (0.0,) * d)
+
+
+def faded(fe, t=0):
+    return fe.num[t] / fe.den[t]
+
+
+class TestAffinePredict:
+    """The base and stacked layers as `_candidates` evaluates them: an affine
+    map of the standardized inputs, mapped back to the target scales."""
+
+    def test_zero_weights_annihilate(self):
+        ps = perceptron(np.zeros((3, 5)))
+        stats = make_stats(3, [3.0, -1.0, 0.5], [2.0, 1.0, 4.0])
+        means, _ = stats.target_scales()
+        assert ps._candidates(np.ones(4), stats)["perceptron"] == means
+
+    def test_direct_affine_evaluation(self):
+        ps = perceptron([[1.0, 2.0]])
+        stats = make_stats(1, [10.0], [2.0])
+        # 1 + 2 * 3 = 7 standard deviations above the mean
+        assert ps._candidates([3.0], stats)["perceptron"][0] == pytest.approx(24.0)
+
+    def test_matches_dense_oracle(self):
+        rng = np.random.default_rng(42)
+        w = rng.normal(size=(8, 6))
+        x = rng.normal(size=5)
+        means, sds = rng.normal(size=8), rng.uniform(0.5, 2.0, size=8)
+        stats = make_stats(8, means, sds)
+        expected = (w @ np.concatenate([[1.0], x])) * sds + means
+        got = perceptron(w)._candidates(x, stats)["perceptron"]
+        np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    def test_stacked_layer_reads_the_base_outputs(self):
+        ps = make_set(Variant.STACKED, m=3, d=2, seed=5)
+        x = np.array([0.3, -1.2, 0.8])
+        stats = make_stats(2, [1.0, -2.0], [0.5, 3.0])
+        means, sds = stats.target_scales()
+        base_std = ps.base @ np.concatenate([[1.0], x])
+        meta_std = ps.meta @ np.concatenate([[1.0], base_std])
+        got = ps._candidates(x, stats)
+        np.testing.assert_allclose(got["perceptron"], base_std * sds + means, atol=1e-12)
+        np.testing.assert_allclose(got["stacked"], meta_std * sds + means, atol=1e-12)
+
+
+class TestAffineUpdate:
+    """The delta rule as `train` applies it to both layers."""
+
+    def test_single_step_on_bias(self):
+        ps = perceptron(np.zeros((1, 1)), learning_rate=0.1)
+        ps.train([], [1.0])
+        assert ps.base[0, 0] == pytest.approx(0.1)
+
+    def test_zero_error_is_a_no_op(self):
+        rng = np.random.default_rng(0)
+        w = rng.normal(size=(2, 4))
+        ps = perceptron(w.copy(), learning_rate=0.5)
+        x = rng.normal(size=3)
+        ps.train(x, w @ np.concatenate([[1.0], x]))
+        np.testing.assert_allclose(ps.base, w, atol=1e-15)
+
+    def test_converges_to_least_squares_line(self):
+        rng = np.random.default_rng(42)
+        ps = LeafPredictorSet(Variant.PERCEPTRON, 1, 1, learning_rate=0.01, rng=rng)
+        xs = rng.uniform(-1, 1, size=10_000)
+        for x in xs:
+            ps.train([x], [2.0 * x + 1.0])
+        design = np.column_stack([np.ones_like(xs), xs])
+        oracle, *_ = np.linalg.lstsq(design, 2.0 * xs + 1.0, rcond=None)
+        np.testing.assert_allclose(ps.base[0], oracle, atol=0.05)
+
+    def test_stacked_dimensions_converge_too(self):
+        # a stacked layer's shape: d inputs, d targets that are an affine mix
+        rng = np.random.default_rng(3)
+        d = 3
+        ps = LeafPredictorSet(Variant.PERCEPTRON, d, d, learning_rate=0.01, rng=rng)
+        truth = np.array([[0.5, 1.0, 0.0, 0.0],
+                          [-1.0, 0.0, 1.0, 0.0],
+                          [0.25, 0.5, 0.5, 0.0]])
+        for _ in range(20_000):
+            u = rng.uniform(-1, 1, size=d)
+            ps.train(u, truth @ np.concatenate([[1.0], u]))
+        np.testing.assert_allclose(ps.base, truth, atol=0.05)
+
+    def test_both_layers_step_from_the_pre_update_base_outputs(self):
+        ps = make_set(Variant.STACKED, m=3, d=2, seed=9, learning_rate=0.05)
+        base, meta = ps.base.copy(), ps.meta.copy()
+        x, y = np.array([0.4, -0.7, 1.1]), np.array([0.9, -0.3])
+        x_aug = np.concatenate([[1.0], x])
+        base_aug = np.concatenate([[1.0], base @ x_aug])
+        ps.train(x, y)
+        np.testing.assert_allclose(
+            ps.meta, meta + 0.05 * np.outer(y - meta @ base_aug, base_aug), atol=1e-15)
+        np.testing.assert_allclose(
+            ps.base, base + 0.05 * np.outer(y - base_aug[1:], x_aug), atol=1e-15)
+
+    def test_meta_layer_has_fewer_parameters_when_targets_are_few(self):
+        d, m = 3, 10
+        ps = make_set(Variant.STACKED, m=m, d=d)
+        assert ps.base.shape == (d, m + 1)
+        assert ps.meta.shape == (d, d + 1)
+        assert ps.meta.size < ps.base.size
+        assert ps.weight_slots() == d * (m + 1) + d * (d + 1)
+
+
+class TestFadedError:
+    """Faded errors as `score_candidates` folds them in."""
+
+    def test_first_error_passes_through(self):
+        ps = make_set(Variant.MEAN, d=1)
+        score(ps, mean=1.0)
+        assert faded(ps.fmae["mean"]) == 1.0
+
+    def test_two_step_sequence(self):
+        ps = make_set(Variant.MEAN, d=1)
+        score(ps, mean=1.0)
+        score(ps, mean=0.0)
+        assert faded(ps.fmae["mean"]) == 0.95 / 1.95
+
+    def test_constant_error_is_a_fixed_point(self):
+        ps = make_set(Variant.MEAN, d=1)
+        for _ in range(500):
+            score(ps, mean=0.7)
+        assert faded(ps.fmae["mean"]) == pytest.approx(0.7, abs=1e-12)
+
+    def test_denominator_bounded_by_twenty(self):
+        ps = make_set(Variant.MEAN, d=2)
+        for _ in range(10_000):
+            ps.score_candidates({"mean": [0.0, 0.0]}, (1.0, 2.0))
+        assert all(v < 1.0 / (1.0 - FADE_DECAY) for v in ps.fmae["mean"].den)
+
+    def test_unobserved_is_infinite(self):
+        """An unobserved table loses to any finite error, however large."""
+        ps = make_set(Variant.ADAPTIVE, d=1)
+        score(ps, perceptron=1e300)
+        stats = make_stats(1, [0.0], [1.0])
+        pred = ps.select_from(ps._candidates([0.0, 0.0], stats))
+        assert pred.per_target_source == ("perceptron",)
+        assert FadedError(2).state() == ((0.0, 0.0), (0.0, 0.0))
 
 
 class TestSelection:
     def test_argmin_picks_smallest_faded_error(self):
         ps = make_set(Variant.STACKED_ADAPTIVE)
         stats = make_stats(2, [0.0, 0.0], [1.0, 1.0])
-        for name, err in (("mean", 0.5), ("perceptron", 0.3), ("stacked", 0.2)):
-            ps.fmae[name].update(np.array([err, err]))
+        score(ps, mean=0.5, perceptron=0.3, stacked=0.2)
         pred = ps.select_from(ps._candidates([0.0, 0.0], stats))
         assert pred.per_target_source == ("stacked", "stacked")
 
     def test_ties_break_toward_the_cheaper_model(self):
         ps = make_set(Variant.STACKED_ADAPTIVE)
         stats = make_stats(2, [0.0, 0.0], [1.0, 1.0])
-        for name in ("mean", "perceptron", "stacked"):
-            ps.fmae[name].update(np.array([0.4, 0.4]))
+        score(ps, mean=0.4, perceptron=0.4, stacked=0.4)
         pred = ps.select_from(ps._candidates([0.0, 0.0], stats))
         assert pred.per_target_source == ("mean", "mean")
 
@@ -142,16 +202,14 @@ class TestSelection:
     def test_fixed_stacked_variant_ignores_errors(self):
         ps = make_set(Variant.STACKED)
         stats = make_stats(2, [0.0, 0.0], [1.0, 1.0])
-        ps.fmae["perceptron"].update(np.array([0.0, 0.0]))  # better, but not selectable
-        ps.fmae["stacked"].update(np.array([9.9, 9.9]))
+        score(ps, perceptron=0.0, stacked=9.9)  # perceptron better, but not selectable
         pred = ps.select_from(ps._candidates([0.5, -0.5], stats))
         assert pred.per_target_source == ("stacked", "stacked")
 
     def test_selection_invariant_under_positive_rescaling(self):
         ps = make_set(Variant.STACKED_ADAPTIVE)
         stats = make_stats(2, [0.0, 0.0], [1.0, 1.0])
-        for name, err in (("mean", 0.5), ("perceptron", 0.2), ("stacked", 0.3)):
-            ps.fmae[name].update(np.array([err, err]))
+        score(ps, mean=0.5, perceptron=0.2, stacked=0.3)
         before = ps.select_from(ps._candidates([0.1, 0.1], stats)).per_target_source
         for name in ps.fmae:
             fe = ps.fmae[name]
@@ -206,30 +264,31 @@ class TestHotPathTypes:
         assert set(candidates) == {"mean", "perceptron", "stacked"}
         for values in candidates.values():
             assert all(type(v) is float for v in values)
-        reference = {}
-        for name, pred in candidates.items():
-            fe = FadedError(3)
-            fe.num, fe.den = list(ps.fmae[name].num), list(ps.fmae[name].den)
-            fe.update([abs(y - p) for y, p in zip(probe.targets, pred)])
-            reference[name] = fe.state()
+        reference = {
+            name: (tuple(0.95 * e + abs(y - p)
+                         for e, y, p in zip(ps.fmae[name].num, probe.targets, pred)),
+                   tuple(0.95 * w + 1.0 for w in ps.fmae[name].den))
+            for name, pred in candidates.items()
+        }
         ps.score_candidates(candidates, probe.targets)
         for name, fe in ps.fmae.items():
             assert all(type(v) is float for v in fe.num + fe.den)
-            assert fe.state() == reference[name]  # the FadedError.update rule
+            assert fe.state() == reference[name]
+
 
 class TestInheritance:
     def test_child_copies_weights_and_resets_errors(self):
         ps = make_set(Variant.STACKED_ADAPTIVE)
-        ps.fmae["mean"].update(np.array([1.0, 1.0]))
+        score(ps, mean=1.0)
         child = ps.spawn_child()
-        np.testing.assert_array_equal(child.base.weights, ps.base.weights)
-        np.testing.assert_array_equal(child.meta.weights, ps.meta.weights)
+        np.testing.assert_array_equal(child.base, ps.base)
+        np.testing.assert_array_equal(child.meta, ps.meta)
         assert child.base is not ps.base
         assert all(v == 0 for v in child.fmae["mean"].den)
 
     def test_child_training_leaves_parent_alone(self):
         ps = make_set(Variant.PERCEPTRON)
         child = ps.spawn_child()
-        before = ps.base.weights.copy()
+        before = ps.base.copy()
         child.train([1.0, -1.0], [0.5, 0.5])
-        np.testing.assert_array_equal(ps.base.weights, before)
+        np.testing.assert_array_equal(ps.base, before)

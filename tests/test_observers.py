@@ -55,7 +55,7 @@ class TestInsert:
     def test_first_insertion(self):
         obs = EBSTObserver(2)
         obs.insert(1.0, (3.0, 4.0))
-        assert obs.node_count == 1
+        assert obs.distinct_keys == 1
         key, cnt, sums, sumsqs = obs.key_ordered_dump()[0]
         assert (key, cnt) == (1.0, 1.0)
         assert sums == [3.0, 4.0]
@@ -74,14 +74,14 @@ class TestInsert:
     def test_equal_numbers_share_the_first_seen_key(self):
         obs = build_observer([(0.0, (1.0,)), (-0.0, (1.0,)), (1, (2.0,)),
                               (1.0, (2.0,))], 1)
-        assert obs.node_count == 2
+        assert obs.distinct_keys == 2
         dump = obs.key_ordered_dump()
         assert [repr(row[0]) for row in dump] == ["0.0", "1"]
         assert [row[1] for row in dump] == [2.0, 2.0]
 
     def test_equal_keys_fold_into_one_node(self):
         obs = build_observer([(1.5, (1.0,)), (1.5, (2.0,))], 1)
-        assert obs.node_count == 1
+        assert obs.distinct_keys == 1
         key, cnt, sums, _ = obs.key_ordered_dump()[0]
         assert cnt == 2.0
         assert sums == [3.0]
@@ -182,7 +182,7 @@ class TestHashIndexProperties:
         obs = build_observer(pairs, 2)
         shuffled = build_observer(perm, 2)
         assert shuffled.key_ordered_dump() == obs.key_ordered_dump()
-        assert obs.node_count == len({v for v, _ in pairs})
+        assert obs.distinct_keys == len({v for v, _ in pairs})
 
         parent = triple([y for _, y in pairs])
         scanned = {key: merit for key, merit, _, _ in shuffled.candidate_merits(parent)}
@@ -237,7 +237,7 @@ class TestBlockFold:
         assert repr(folded.key_ordered_dump()) == repr(numeric.key_ordered_dump())
         assert repr(numeric.key_ordered_dump()) == repr(one_at_a_time_dump(
             [(v, y) for v, _, y in rows if v is not None], 2))
-        assert folded.node_count == numeric.node_count
+        assert folded.distinct_keys == numeric.distinct_keys
         assert folded.memory_slots() == numeric.memory_slots()
         assert repr(folded.keys.tolist()) == repr(numeric.keys.tolist())
         assert repr(folded_nominal.table.tolist()) == repr(nominal.table.tolist())

@@ -39,6 +39,7 @@ class TestHoeffdingParams:
 
     @pytest.mark.parametrize("kwargs", [
         {"delta": 0.0}, {"delta": 1.0}, {"tau": -0.1}, {"grace_period": 0},
+        {"tau": float("nan")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

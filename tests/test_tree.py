@@ -122,8 +122,8 @@ class TestLearnContract:
         leaf = tree.root
         assert leaf.stats.features[0].n == 1
         assert leaf.stats.features[1].n == 1
-        assert leaf.observers[0].node_count == 1
-        assert leaf.observers[1].node_count == 1
+        assert leaf.observers[0].distinct_keys == 1
+        assert leaf.observers[1].distinct_keys == 1
         assert leaf.stats.targets[0].n == 2  # targets always update
 
     def test_schema_mismatch_is_a_configuration_error(self):
@@ -284,8 +284,8 @@ class TestSplitting:
 
         class Spy(MultiTargetHoeffdingTree):
             def _execute_split(self, leaf, winner, parent, child_index):
-                captured["base"] = leaf.predictors.base.weights.copy()
-                captured["meta"] = leaf.predictors.meta.weights.copy()
+                captured["base"] = leaf.predictors.base.copy()
+                captured["meta"] = leaf.predictors.meta.copy()
                 super()._execute_split(leaf, winner, parent, child_index)
 
         tree = Spy(numeric_schema(4, 2), TreeConfig(variant=Variant.STACKED, seed=0))
@@ -295,8 +295,8 @@ class TestSplitting:
                 break
         assert tree.split_count == 1
         for child in tree.root.children:
-            np.testing.assert_array_equal(child.predictors.base.weights, captured["base"])
-            np.testing.assert_array_equal(child.predictors.meta.weights, captured["meta"])
+            np.testing.assert_array_equal(child.predictors.base, captured["base"])
+            np.testing.assert_array_equal(child.predictors.meta, captured["meta"])
             assert all(v == 0 for fe in child.predictors.fmae.values() for v in fe.den)
 
     def test_children_seeded_with_branch_target_stats(self):
