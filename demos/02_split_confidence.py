@@ -39,8 +39,8 @@ for i in range(n):
     observers[0].insert(float(x[i, 0]), y[i])
     observers[1].insert(float(x[i, 1]), y[i])
 
-best0, _ = observers[0].best_splits(0, parent)
-best1, _ = observers[1].best_splits(1, parent)
+best0 = observers[0].best_splits(0, parent)
+best1 = observers[1].best_splits(1, parent)
 print("best candidate per feature after 400 examples:")
 print(f"  informative feature: threshold {best0.threshold:.3f}, merit {best0.merit:.3f}")
 print(f"  noise feature:       threshold {best1.threshold:.3f}, merit {best1.merit:.3f}")

@@ -60,23 +60,35 @@ class UsageError(Exception):
 def _load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError as exc:
         raise UsageError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+    return _expect(doc, dict, f"config file {path}")
+
+
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _expect(value, kind: type, what: str):
+    """`value`, if it is of the JSON kind the config needs there."""
+    if not isinstance(value, kind):
+        raise UsageError(f"{what} must be {_KINDS[kind]}")
+    return value
 
 
 def parse_generator_spec(doc: dict, seed_override: int | None = None) -> GeneratorSpec:
+    _expect(doc, dict, "generator spec")
     if "family" not in doc:
         raise UsageError("generator spec needs a 'family'")
-    drift = None
-    if doc.get("drift") is not None:
-        ddoc = doc["drift"]
-        drift = DriftSpec(positions=tuple(ddoc.get("positions", ())),
-                          mode=ddoc.get("mode", "synchronous"))
     affine = doc.get("target_affine")
     try:
+        drift = None
+        if doc.get("drift") is not None:
+            ddoc = _expect(doc["drift"], dict, "generator drift")
+            drift = DriftSpec(positions=tuple(ddoc.get("positions", ())),
+                              mode=ddoc.get("mode", "synchronous"))
         return GeneratorSpec(
             family=doc["family"],
             n_examples=int(doc.get("n_examples", 10_000)),
@@ -91,6 +103,8 @@ def parse_generator_spec(doc: dict, seed_override: int | None = None) -> Generat
 
 
 def parse_variants(names) -> list[Variant]:
+    if names is not None:
+        _expect(names, list, "variants")
     if not names:
         return list(Variant)
     out = []
@@ -105,6 +119,7 @@ def parse_variants(names) -> list[Variant]:
 
 def parse_tree_section(doc: dict, variant: Variant, seed: int) -> TreeConfig:
     """Omitted fields default to the benchmark settings."""
+    _expect(doc, dict, "tree section")
     if doc.get("ascend_errors", False):
         raise UsageError("tree.ascend_errors is not supported: leaf models "
                          "always descend the squared error")
@@ -117,35 +132,38 @@ def parse_tree_section(doc: dict, variant: Variant, seed: int) -> TreeConfig:
             learning_rate=float(doc.get("learning_rate", 0.01)),
             seed=seed,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"bad tree section: {exc}") from exc
 
 
 def parse_evaluation_section(doc: dict, tree_doc: dict, base_seed: int) -> PrequentialConfig:
-    warm_default = int(tree_doc.get("warm_start", 200))
-    repetitions = int(doc.get("repetitions", 30))
-    seeds = doc.get("seeds")
-    if seeds is not None:
-        seeds = tuple(int(s) for s in seeds)
-        if "repetitions" in doc and len(seeds) != repetitions:
-            raise UsageError("evaluation.seeds length must equal evaluation.repetitions")
-    else:
-        seeds = tuple(base_seed + i for i in range(repetitions))
+    _expect(doc, dict, "evaluation section")
+    _expect(tree_doc, dict, "tree section")
     try:
+        warm_default = int(tree_doc.get("warm_start", 200))
+        repetitions = int(doc.get("repetitions", 30))
+        seeds = doc.get("seeds")
+        if seeds is not None:
+            seeds = tuple(int(s) for s in _expect(seeds, list, "evaluation.seeds"))
+            if "repetitions" in doc and len(seeds) != repetitions:
+                raise UsageError("evaluation.seeds length must equal evaluation.repetitions")
+        else:
+            seeds = tuple(base_seed + i for i in range(repetitions))
         return PrequentialConfig(
             window=int(doc.get("window", 200)),
             warm_start=int(doc.get("warm_start", warm_default)),
             seeds=seeds,
         )
-    except EvaluationError as exc:
+    except (EvaluationError, TypeError, ValueError) as exc:
         raise UsageError(f"bad evaluation section: {exc}") from exc
 
 
 def _dataset_entries(doc: dict) -> list[dict]:
-    datasets = doc.get("datasets")
+    datasets = _expect(doc.get("datasets", []), list, "datasets")
     if not datasets:
         raise UsageError("run config needs a non-empty 'datasets' list")
     for i, entry in enumerate(datasets):
+        _expect(entry, dict, f"datasets[{i}]")
         if "name" not in entry:
             raise UsageError(f"datasets[{i}] needs a 'name'")
         if ("generator" in entry) == ("csv" in entry):
@@ -197,6 +215,9 @@ def cmd_run(args) -> int:
     tree_doc = doc.get("tree", {})
     parse_tree_section(tree_doc, variants[0], args.seed)  # exit 2 before any cell runs
     preq = parse_evaluation_section(doc.get("evaluation", {}), tree_doc, args.seed)
+    for entry in datasets:
+        if "generator" in entry:
+            parse_generator_spec(entry["generator"])  # cells parse it again
 
     payloads = [
         {"dataset": entry, "variant": variant.value, "seed": seed,
@@ -416,7 +437,7 @@ def _resolve_out_dir(flag_value, config_value) -> Path:
     if flag_value:
         return Path(flag_value)
     if config_value:
-        return Path(config_value)
+        return Path(_expect(config_value, str, "output_dir"))
     env = os.environ.get(ENV_OUT_DIR)
     if env:
         return Path(env)

@@ -210,6 +210,10 @@ def read_report_csv(path) -> list[WindowRow]:
 # Friedman test and Nemenyi post-hoc grouping
 # ---------------------------------------------------------------------------
 
+# Significance level of the Friedman test and the Nemenyi critical difference;
+# the critical values below are tabulated for this level only.
+ALPHA = 0.05
+
 # Critical values of the studentized range statistic at alpha = 0.05, already
 # divided by sqrt(2), for 2..10 compared algorithms (infinite df).
 NEMENYI_Q_05 = {
@@ -273,18 +277,16 @@ class ComparisonResult:
     reject: bool
     critical_difference: float
     groups: tuple[tuple[str, ...], ...]
-    indistinguishable_pairs: tuple[tuple[str, str], ...]
 
 
-def friedman_nemenyi(table: RankTable, alpha: float = 0.05) -> ComparisonResult:
+def friedman_nemenyi(table: RankTable) -> ComparisonResult:
     """Friedman test over average ranks with the F-distribution refinement,
-    plus the Nemenyi critical difference q_alpha * sqrt(k(k+1)/(6N)).
+    plus the Nemenyi critical difference q_alpha * sqrt(k(k+1)/(6N)), both at
+    `ALPHA` = 0.05.
 
     Algorithms whose average ranks differ by less than the CD are grouped as
-    statistically indistinguishable. Only alpha = 0.05 is tabulated.
+    statistically indistinguishable.
     """
-    if alpha != 0.05:
-        raise EvaluationError("only alpha = 0.05 critical values are tabulated")
     k = table.k
     n = table.n_blocks
     if k < 2:
@@ -306,7 +308,7 @@ def friedman_nemenyi(table: RankTable, alpha: float = 0.05) -> ComparisonResult:
 
         f_stat = (n - 1) * chi2 / denom
         p_value = float(fdtrc(k - 1, (k - 1) * (n - 1), f_stat))
-    reject = p_value < alpha
+    reject = p_value < ALPHA
 
     cd = NEMENYI_Q_05[k] * math.sqrt(k * (k + 1) / (6.0 * n))
 
@@ -326,12 +328,6 @@ def friedman_nemenyi(table: RankTable, alpha: float = 0.05) -> ComparisonResult:
     for i, j in dict.fromkeys(maximal):
         unique_groups.append(tuple(names[i:j + 1]))
 
-    pairs = []
-    for a in range(k):
-        for b in range(a + 1, k):
-            if abs(float(avg[a]) - float(avg[b])) < cd:
-                pairs.append((table.algorithms[a], table.algorithms[b]))
-
     return ComparisonResult(
         algorithms=table.algorithms,
         average_ranks=tuple(float(r) for r in avg),
@@ -341,5 +337,4 @@ def friedman_nemenyi(table: RankTable, alpha: float = 0.05) -> ComparisonResult:
         reject=reject,
         critical_difference=cd,
         groups=tuple(unique_groups),
-        indistinguishable_pairs=tuple(pairs),
     )

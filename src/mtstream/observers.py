@@ -16,7 +16,8 @@ same way, and propose a single multiway split over the declared category set.
 
 Split merit is the reduction in intra-cluster variance: the mean (across
 targets) sample variance of the parent minus the example-weighted mean of the
-children's.
+children's. Both observers score the parent and every child with one kernel,
+`_icvar_rows`, over (1 + 2d, n) blocks of counts, sums and sums of squares.
 """
 
 from __future__ import annotations
@@ -24,39 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def _variance(cnt: float, s: float, sq: float) -> float:
-    """Sample variance from a raw moment triple; 0 below two examples."""
-    if cnt < 2:
-        return 0.0
-    return max((sq - s * s / cnt) / (cnt - 1.0), 0.0)
-
-
-def intra_cluster_variance(cnt: float, sums, sumsqs) -> float:
-    """Mean per-target sample variance of one partition."""
-    if cnt < 2:
-        return 0.0
-    d = len(sums)
-    total = 0.0
-    for t in range(d):
-        total += _variance(cnt, sums[t], sumsqs[t])
-    return total / d
-
-
-def variance_reduction(parent, children) -> float:
-    """Merit of a candidate partition.
-
-    `parent` and each entry of `children` are (count, sums, sumsqs) triples.
-    Children are weighted by their share of the parent count; empty children
-    contribute nothing.
-    """
-    parent_cnt = parent[0]
-    merit = intra_cluster_variance(*parent)
-    for cnt, sums, sumsqs in children:
-        if cnt > 0:
-            merit -= (cnt / parent_cnt) * intra_cluster_variance(cnt, sums, sumsqs)
-    return merit
 
 
 def moment_block(ys) -> np.ndarray:
@@ -79,10 +47,6 @@ class SplitSuggestion:
     merit: float
     threshold: float | None  # None marks a nominal multiway split
     child_stats: list  # [(count, sums, sumsqs), ...]
-
-    @property
-    def is_nominal(self) -> bool:
-        return self.threshold is None
 
 
 class EBSTObserver:
@@ -149,37 +113,26 @@ class EBSTObserver:
     def _scan(self, parent):
         """Vectorized candidate evaluation.
 
-        Returns (keys, merits, valid, prefix) over thresholds in increasing
-        key order, where column prefix[:, i] aggregates every example with
-        value <= keys[i], or None below two distinct keys. The right-hand
-        side of each candidate is the parent aggregate minus the prefix;
-        candidates need at least one example per side.
+        Returns (merits, valid, left, right) over the thresholds in `keys`,
+        where column left[:, i] aggregates every example with value <=
+        keys[i] and right[:, i] is the parent aggregate minus it, or None
+        below two distinct keys. Examples missing this feature are in the
+        parent but in no column, so they count on the right, where the tree
+        routes them. Candidates need at least one example per side.
         """
-        keys = self.keys
-        if len(keys) < 2:
+        if len(self.keys) < 2:
             return None
-        d = self.n_targets
-        prefix = np.cumsum(self.rows, axis=1)
-
+        left = np.cumsum(self.rows, axis=1)
+        whole = _column(parent)
+        right = whole - left
+        valid = (left[0] >= 1.0) & (right[0] >= 1.0)
         parent_cnt = parent[0]
-        parent_sums = np.asarray(parent[1])
-        parent_sumsqs = np.asarray(parent[2])
-
-        left_cnt = prefix[0]
-        right_cnt = parent_cnt - left_cnt
-        valid = (left_cnt >= 1.0) & (right_cnt >= 1.0)
-
-        left_sums = prefix[1:1 + d]
-        left_sumsqs = prefix[1 + d:]
-        right_sums = parent_sums[:, None] - left_sums
-        right_sumsqs = parent_sumsqs[:, None] - left_sumsqs
-
         merits = (
-            intra_cluster_variance(parent_cnt, parent_sums, parent_sumsqs)
-            - (left_cnt / parent_cnt) * _icvar_rows(left_cnt, left_sums, left_sumsqs)
-            - (right_cnt / parent_cnt) * _icvar_rows(right_cnt, right_sums, right_sumsqs)
+            _icvar_rows(whole)[0]
+            - (left[0] / parent_cnt) * _icvar_rows(left)
+            - (right[0] / parent_cnt) * _icvar_rows(right)
         )
-        return keys, merits, valid, prefix
+        return merits, valid, left, right
 
     def candidate_merits(self, parent) -> list[tuple[float, float, tuple, tuple]]:
         """All (threshold, merit, left, right) tuples in increasing key order;
@@ -188,47 +141,29 @@ class EBSTObserver:
         scan = self._scan(parent)
         if scan is None:
             return []
-        keys, merits, valid, prefix = scan
-        out = []
-        for i in range(len(keys)):
-            if valid[i]:
-                left, right = self._partition(parent, prefix, i)
-                out.append((float(keys[i]), float(merits[i]), left, right))
-        return out
+        merits, valid, left, right = scan
+        d = self.n_targets
+        return [(float(self.keys[i]), float(merits[i]), _triple(left[:, i].tolist(), d),
+                 _triple(right[:, i].tolist(), d))
+                for i in np.flatnonzero(valid).tolist()]
 
-    def best_splits(self, feature: int, parent):
-        """Highest- and second-highest-merit suggestions over this feature's
-        candidate thresholds; (None, None) below two distinct observed keys."""
+    def best_splits(self, feature: int, parent) -> SplitSuggestion | None:
+        """The highest-merit suggestion over this feature's candidate
+        thresholds, or None when there is no candidate (below two distinct
+        observed keys, or no threshold with an example on each side)."""
         scan = self._scan(parent)
         if scan is None:
-            return None, None
-        keys, merits, valid, prefix = scan
+            return None
+        merits, valid, left, right = scan
         masked = np.where(valid, merits, -np.inf)
-        i1 = int(np.argmax(masked))
-        if masked[i1] == -np.inf:
-            return None, None
-        best = self._suggestion(feature, parent, keys, merits, prefix, i1)
-        masked[i1] = -np.inf
-        i2 = int(np.argmax(masked))
-        second = None
-        if masked[i2] != -np.inf:
-            second = self._suggestion(feature, parent, keys, merits, prefix, i2)
-        return best, second
-
-    def _partition(self, parent, prefix, i):
-        """(left, right) aggregate triples of the threshold in column i."""
+        i = int(np.argmax(masked))
+        if masked[i] == -np.inf:
+            return None
         d = self.n_targets
-        column = prefix[:, i].tolist()
-        left = (column[0], tuple(column[1:1 + d]), tuple(column[1 + d:]))
-        right = (parent[0] - left[0],
-                 tuple(p - l for p, l in zip(parent[1], left[1])),
-                 tuple(p - l for p, l in zip(parent[2], left[2])))
-        return left, right
-
-    def _suggestion(self, feature, parent, keys, merits, prefix, i) -> SplitSuggestion:
         return SplitSuggestion(feature=feature, merit=float(merits[i]),
-                               threshold=float(keys[i]),
-                               child_stats=list(self._partition(parent, prefix, i)))
+                               threshold=float(self.keys[i]),
+                               child_stats=[_triple(left[:, i].tolist(), d),
+                                            _triple(right[:, i].tolist(), d)])
 
     def key_ordered_dump(self) -> list:
         """(key, count, sums, sumsqs) rows of the folded values in increasing
@@ -238,21 +173,44 @@ class EBSTObserver:
         return [[first_seen[key], column[0], column[1:1 + d], column[1 + d:]]
                 for key, column in zip(self.keys.tolist(), self.rows.T.tolist())]
 
+    def dump(self) -> dict:
+        """JSON-ready state of the folded values."""
+        return {"kind": "numeric", "nodes": self.key_ordered_dump()}
+
     def memory_slots(self) -> int:
         # key + count + per-target (sum, sumsq) per distinct value
         return len(self.seen) * (2 + 2 * self.n_targets)
 
 
-def _icvar_rows(cnt: np.ndarray, sums: np.ndarray, sumsqs: np.ndarray) -> np.ndarray:
-    """Per-candidate intra-cluster variance for (n,) counts and (d, n)
-    moments. The per-target variances are added in target order, the order
-    of `intra_cluster_variance`."""
+def _column(parent) -> np.ndarray:
+    """(1 + 2d, 1) block of a (count, sums, sumsqs) triple."""
+    cnt, sums, sumsqs = parent
+    return np.array([cnt, *sums, *sumsqs], dtype=float)[:, None]
+
+
+def _triple(column: list, d: int) -> tuple:
+    """(count, sums, sumsqs) triple of one block column."""
+    return column[0], tuple(column[1:1 + d]), tuple(column[1 + d:])
+
+
+def _icvar_rows(block: np.ndarray) -> np.ndarray:
+    """Intra-cluster variance, the mean per-target sample variance, of every
+    column of a (1 + 2d, n) block of counts, sums and sums of squares; 0 below
+    two examples. The one place a variance is computed from moments. The
+    per-target variances are added one row at a time in target order, so a
+    column's result does not depend on how many columns share the call."""
+    cnt = block[0]
+    d = (len(block) - 1) // 2
+    sums = block[1:1 + d]
     denom = np.where(cnt > 1.0, cnt - 1.0, 1.0)
     safe_cnt = np.where(cnt > 0.0, cnt, 1.0)
-    var = (sumsqs - sums * sums / safe_cnt) / denom
+    var = (block[1 + d:] - sums * sums / safe_cnt) / denom
     np.maximum(var, 0.0, out=var)
     var[:, cnt < 2.0] = 0.0
-    return var.sum(axis=0) / len(var)
+    total = var[0]
+    for row in var[1:]:
+        total = total + row
+    return total / d
 
 
 class NominalObserver:
@@ -274,32 +232,34 @@ class NominalObserver:
         np.add.at(self.table, categories.astype(np.intp), block)
 
     @property
-    def cnt(self) -> list[float]:
-        return self.table[:, 0].tolist()
-
-    @property
-    def sums(self) -> list[list[float]]:
-        return self.table[:, 1:1 + self.n_targets].tolist()
-
-    @property
-    def sumsqs(self) -> list[list[float]]:
-        return self.table[:, 1 + self.n_targets:].tolist()
-
-    @property
     def observed_categories(self) -> int:
         return int(np.count_nonzero(self.table[:, 0]))
 
     def suggest(self, feature: int, parent) -> SplitSuggestion | None:
         """One multiway suggestion over the declared categories, or None when
-        fewer than two categories have been observed."""
+        fewer than two categories have been observed. The children's weighted
+        variances are subtracted from the parent's in category order;
+        categories with no examples contribute nothing."""
         if self.observed_categories < 2:
             return None
+        block = np.concatenate((_column(parent), self.table.T), axis=1)
+        icvar = _icvar_rows(block).tolist()
+        counts = block[0].tolist()
+        parent_cnt = counts[0]
+        merit = icvar[0]
+        for cnt, child_icvar in zip(counts[1:], icvar[1:]):
+            if cnt > 0:
+                merit -= (cnt / parent_cnt) * child_icvar
         d = self.n_targets
-        children = [(row[0], tuple(row[1:1 + d]), tuple(row[1 + d:]))
-                    for row in self.table.tolist()]
-        merit = variance_reduction(parent, children)
-        return SplitSuggestion(feature=feature, merit=float(merit), threshold=None,
-                               child_stats=children)
+        return SplitSuggestion(feature=feature, merit=merit, threshold=None,
+                               child_stats=[_triple(row, d) for row in self.table.tolist()])
+
+    def dump(self) -> dict:
+        """JSON-ready state: count, sums and sums of squares per category."""
+        d = self.n_targets
+        table = self.table
+        return {"kind": "nominal", "cnt": table[:, 0].tolist(),
+                "sums": table[:, 1:1 + d].tolist(), "sumsqs": table[:, 1 + d:].tolist()}
 
     def memory_slots(self) -> int:
         return self.n_categories * (1 + 2 * self.n_targets)

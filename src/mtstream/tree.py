@@ -164,8 +164,8 @@ class MultiTargetHoeffdingTree:
 
     def route(self, instance: Instance) -> LeafNode:
         """Descend to the leaf responsible for `instance`. Missing numeric
-        values go left; missing or out-of-range nominal values go to the
-        first child."""
+        values go right, the side whose merit and seed statistics count them;
+        missing or out-of-range nominal values go to the first child."""
         return self._descend(instance)[0]
 
     def _descend(self, instance: Instance):
@@ -178,7 +178,7 @@ class MultiTargetHoeffdingTree:
         while not node.is_leaf:
             v = features[node.feature]
             if node.threshold is not None:
-                index = 0 if v is None or v <= node.threshold else 1
+                index = 1 if v is None or v > node.threshold else 0
             elif isinstance(v, int) and 0 <= v < len(node.children):
                 index = v
             else:
@@ -276,7 +276,7 @@ class MultiTargetHoeffdingTree:
             if isinstance(obs, NominalObserver):
                 best = obs.suggest(i, parent_triple)
             else:
-                best, _ = obs.best_splits(i, parent_triple)
+                best = obs.best_splits(i, parent_triple)
             if best is not None:
                 per_feature.append(best)
         if not per_feature:
@@ -339,7 +339,8 @@ class MultiTargetHoeffdingTree:
         """Self-describing tree snapshot. With `include_leaf_state=False` only
         the skeleton (split structure) is captured, which is identical across
         variants trained on the same stream - so the skeleton form carries no
-        variant tag."""
+        variant tag. Leaf state is nested tuples and lists, which `serialize`
+        writes as JSON arrays alike."""
         doc = {
             "format": SERIAL_FORMAT,
             "n_features": self.schema.n_features,
@@ -373,28 +374,12 @@ def _node_dict(node, include_leaf_state: bool) -> dict:
     if not include_leaf_state:
         return {"kind": "leaf"}
     node.fold_pending()
-    observers = []
-    for obs in node.observers:
-        if isinstance(obs, NominalObserver):
-            observers.append({"kind": "nominal", "cnt": obs.cnt,
-                              "sums": obs.sums, "sumsqs": obs.sumsqs})
-        else:
-            observers.append({"kind": "numeric", "nodes": obs.key_ordered_dump()})
     return {
         "kind": "leaf",
         "examples_seen": node.examples_seen,
         "since_attempt": node.since_attempt,
-        "ratio": list(node.ratio.state()),
-        "stats": _rows(node.stats.state()),
-        "predictors": _rows(node.predictors.state()),
-        "observers": observers,
+        "ratio": node.ratio.state(),
+        "stats": node.stats.state(),
+        "predictors": node.predictors.state(),
+        "observers": [obs.dump() for obs in node.observers],
     }
-
-
-def _rows(obj):
-    """Tuples to lists, recursively (json-friendly, deterministic)."""
-    if isinstance(obj, tuple):
-        return [_rows(o) for o in obj]
-    if isinstance(obj, list):
-        return [_rows(o) for o in obj]
-    return obj

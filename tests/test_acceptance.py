@@ -102,7 +102,7 @@ def test_criterion_02_scan_matches_brute_force():
             obs = EBSTObserver(d)
             for i in range(n):
                 obs.insert(float(xs[i, f]), ys[i])
-            cand, _ = obs.best_splits(f, parent)
+            cand = obs.best_splits(f, parent)
             if cand is not None and (best is None or cand.merit > best.merit):
                 best = cand
         oracle = _brute_force_best(xs, ys)
@@ -259,7 +259,7 @@ def test_criterion_08_nemenyi_critical_difference():
     table = RankTable.from_scores(
         [f"algo{i}" for i in range(5)],
         np.random.default_rng(8).random((16, 5)))
-    result = friedman_nemenyi(table, alpha=0.05)
+    result = friedman_nemenyi(table)
     assert 1.51 <= result.critical_difference <= 1.53
     report(8, f"k=5, N=16, alpha=0.05 -> CD = {result.critical_difference:.4f} "
               "in [1.51, 1.53]")

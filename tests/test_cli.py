@@ -114,6 +114,54 @@ class TestRun:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("mutate, message", [
+        pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"], "window": "abc"}},
+                     "bad evaluation section", id="window"),
+        pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"], "repetitions": "x"}},
+                     "bad evaluation section", id="repetitions"),
+        pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"], "seeds": ["a"]}},
+                     "bad evaluation section", id="seed_not_int"),
+        pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"], "seeds": 5}},
+                     "evaluation.seeds must be a list", id="seeds_not_list"),
+        pytest.param(lambda doc: {**doc, "tree": {"warm_start": "x"}},
+                     "bad evaluation section", id="tree_warm_start"),
+        pytest.param(lambda doc: {**doc, "tree": {"delta": None}},
+                     "bad tree section", id="tree_null_field"),
+        pytest.param(lambda doc: {**doc, "tree": []},
+                     "tree section must be an object", id="tree_not_object"),
+        pytest.param(lambda doc: {**doc, "evaluation": "fast"},
+                     "evaluation section must be an object", id="evaluation_not_object"),
+        pytest.param(lambda doc: {**doc, "datasets": [5]},
+                     "datasets[0] must be an object", id="dataset_not_object"),
+        pytest.param(lambda doc: {**doc, "datasets": {"name": "toy"}},
+                     "datasets must be a list", id="datasets_not_list"),
+        pytest.param(lambda doc: {**doc, "datasets": [{"name": "toy", "generator": "friedman_mt"}]},
+                     "generator spec must be an object", id="generator_not_object"),
+        pytest.param(lambda doc: {**doc, "datasets": [{"name": "toy", "generator": {
+            "family": "friedman_mt", "drift": [100]}}]},
+                     "generator drift must be an object", id="drift_not_object"),
+        pytest.param(lambda doc: {**doc, "variants": "mean"},
+                     "variants must be a list", id="variants_not_list"),
+        pytest.param(lambda doc: {**doc, "output_dir": 5},
+                     "output_dir must be a string", id="output_dir_not_string"),
+        pytest.param(lambda doc: [doc], "must be an object", id="top_level_array"),
+    ])
+    def test_malformed_config_exits_2_before_any_cell(self, tmp_path, capsys, mutate,
+                                                       message):
+        cfg = run_config(tmp_path)
+        doc = mutate(json.loads(cfg.read_text()))
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        argv = ["run", "--config", str(cfg), "--jobs", "1"]
+        if "output_dir" not in doc:
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert "Traceback" not in err
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
     def test_diverging_model_exits_1_naming_the_cell(self, tmp_path, capsys):

@@ -278,11 +278,6 @@ class TestFriedmanNemenyi:
                 - min(result.average_ranks[i] for i in idx)
             assert spread < cd
 
-    def test_unsupported_alpha_rejected(self):
-        table = RankTable.from_scores(["a", "b"], [[1.0, 2.0]] * 3)
-        with pytest.raises(EvaluationError):
-            friedman_nemenyi(table, alpha=0.10)
-
     def test_too_few_blocks_or_algorithms(self):
         with pytest.raises(EvaluationError):
             friedman_nemenyi(RankTable(algorithms=("a",), ranks=np.ones((3, 1))))

@@ -3,12 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtstream.observers import (
-    EBSTObserver,
-    NominalObserver,
-    intra_cluster_variance,
-    variance_reduction,
-)
+from mtstream.observers import EBSTObserver, NominalObserver
 from mtstream.schema import Instance
 from mtstream.tree import LeafNode
 
@@ -110,11 +105,10 @@ class TestScanSplits:
         pairs = [(1.0, (0.0,)), (1.0, (0.0,)), (5.0, (2.0,)), (5.0, (2.0,))]
         obs = build_observer(pairs, 1)
         parent = triple([y for _, y in pairs])
-        assert intra_cluster_variance(*parent) == pytest.approx(4.0 / 3.0)
-        best, second = obs.best_splits(0, parent)
+        assert batch_icvar([y for _, y in pairs]) == pytest.approx(4.0 / 3.0)
+        best = obs.best_splits(0, parent)
         assert best.threshold == 1.0
         assert best.merit == pytest.approx(4.0 / 3.0)
-        assert second is None  # only one usable threshold (largest key excluded)
 
     def test_constant_targets_give_zero_merit(self):
         pairs = [(float(i), (3.0, 3.0)) for i in range(20)]
@@ -126,7 +120,7 @@ class TestScanSplits:
     def test_single_distinct_key_yields_no_suggestion(self):
         obs = build_observer([(1.0, (1.0,)), (1.0, (2.0,))], 1)
         parent = triple([(1.0,), (2.0,)])
-        assert obs.best_splits(0, parent) == (None, None)
+        assert obs.best_splits(0, parent) is None
 
     def test_merits_match_brute_force(self):
         rng = np.random.default_rng(7)
@@ -252,8 +246,8 @@ class TestNominalObserver:
             obs.insert(1, (y,))
         parent = triple([(0.0,), (0.0,), (2.0,), (2.0,)])
         suggestion = obs.suggest(0, parent)
-        assert suggestion.merit == pytest.approx(intra_cluster_variance(*parent))
-        assert suggestion.is_nominal
+        assert suggestion.merit == pytest.approx(batch_icvar([(0.0,), (0.0,), (2.0,), (2.0,)]))
+        assert suggestion.threshold is None
         assert len(suggestion.child_stats) == 2
 
     def test_single_observed_category(self):
@@ -278,7 +272,7 @@ class TestNominalObserver:
         n = 200
         for _ in range(n):
             obs.insert(int(rng.integers(0, 4)), tuple(rng.normal(size=2).tolist()))
-        assert sum(obs.cnt) == n
+        assert sum(obs.dump()["cnt"]) == n
 
     def test_matches_batch_partition_oracle(self):
         rng = np.random.default_rng(9)
@@ -294,8 +288,17 @@ class TestNominalObserver:
         )
         assert obs.suggest(0, parent).merit == pytest.approx(expected, abs=1e-9)
 
-
-def test_variance_reduction_ignores_empty_children():
-    parent = triple([(0.0,), (1.0,), (2.0,)])
-    children = [triple([(0.0,), (1.0,), (2.0,)]), (0.0, (0.0,), (0.0,))]
-    assert variance_reduction(parent, children) == pytest.approx(0.0)
+    def test_unobserved_category_contributes_nothing(self):
+        # category 1 is declared but never observed: the merit is that of the
+        # two observed categories alone
+        rows = [(0, 0.0), (0, 1.0), (2, 2.0), (2, 4.0), (2, 3.0)]
+        obs = NominalObserver(3, 1)
+        for c, y in rows:
+            obs.insert(c, (y,))
+        parent = triple([(y,) for _, y in rows])
+        suggestion = obs.suggest(0, parent)
+        expected = batch_icvar([(y,) for _, y in rows]) \
+            - (2 / 5) * batch_icvar([(0.0,), (1.0,)]) \
+            - (3 / 5) * batch_icvar([(2.0,), (4.0,), (3.0,)])
+        assert suggestion.merit == pytest.approx(expected, abs=1e-12)
+        assert suggestion.child_stats[1] == (0.0, (0.0,), (0.0,))

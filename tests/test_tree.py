@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtstream.schema import (
     FeatureSpec,
@@ -62,11 +64,40 @@ class TestRouting:
         assert tree.route(Instance(features=(1.0,), targets=(0.0,))) is left
         assert tree.route(Instance(features=(1.5,), targets=(0.0,))) is right
 
-    def test_missing_value_routes_left(self):
+    def test_missing_value_routes_right(self):
         tree = MultiTargetHoeffdingTree(numeric_schema(1, 1), TreeConfig())
         left, right = tree._new_leaf(), tree._new_leaf()
         tree.root = SplitNode(0, 1.0, [left, right])
-        assert tree.route(Instance(features=(None,), targets=(0.0,))) is left
+        assert tree.route(Instance(features=(None,), targets=(0.0,))) is right
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(
+        st.tuples(st.one_of(st.none(), st.integers(0, 5)),
+                  st.one_of(st.none(), st.integers(0, 5)),
+                  st.integers(-5, 5)),
+        min_size=20, max_size=80))
+    def test_routing_agrees_with_seeding_on_missing_values(self, rows):
+        # each child of the root's first split starts with the target count
+        # of exactly the learned examples that route() sends to it
+        instances = [
+            Instance(features=tuple(None if v is None else float(v) for v in (a, b)),
+                     targets=(float(y),))
+            for a, b, y in rows]
+        tree = MultiTargetHoeffdingTree(numeric_schema(2, 1),
+                                        TreeConfig(variant=Variant.MEAN, grace_period=20))
+        learned = []
+        for inst in instances:
+            tree.learn(inst)
+            learned.append(inst)
+            if not tree.root.is_leaf:
+                break
+        if tree.root.is_leaf:
+            return
+        children = tree.root.children
+        routed = [0] * len(children)
+        for inst in learned:
+            routed[children.index(tree.route(inst))] += 1
+        assert [child.stats.targets[0].n for child in children] == routed
 
     def test_nominal_routes_by_category(self):
         schema = StreamSchema(
