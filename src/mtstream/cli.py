@@ -68,10 +68,11 @@ def _load_json(path) -> dict:
     return _expect(doc, dict, f"config file {path}")
 
 
-_KINDS = {dict: "an object", list: "a list", str: "a string"}
+_KINDS = {dict: "an object", list: "a list", str: "a string",
+          (str, dict): "a path string or an object"}
 
 
-def _expect(value, kind: type, what: str):
+def _expect(value, kind: type | tuple, what: str):
     """`value`, if it is of the JSON kind the config needs there."""
     if not isinstance(value, kind):
         raise UsageError(f"{what} must be {_KINDS[kind]}")
@@ -170,6 +171,8 @@ def _dataset_entries(doc: dict) -> list[dict]:
             raise UsageError(f"datasets[{i}] needs exactly one of 'generator' or 'csv'")
         if "csv" in entry and "schema" not in entry:
             raise UsageError(f"datasets[{i}] with 'csv' also needs 'schema'")
+        _expect(entry.get("csv", ""), str, f"datasets[{i}].csv")
+        _expect(entry.get("schema", ""), (str, dict), f"datasets[{i}].schema")
     return datasets
 
 
@@ -215,9 +218,11 @@ def cmd_run(args) -> int:
     tree_doc = doc.get("tree", {})
     parse_tree_section(tree_doc, variants[0], args.seed)  # exit 2 before any cell runs
     preq = parse_evaluation_section(doc.get("evaluation", {}), tree_doc, args.seed)
-    for entry in datasets:
-        if "generator" in entry:
-            parse_generator_spec(entry["generator"])  # cells parse it again
+    for entry in datasets:  # each cell opens its source again
+        try:
+            _make_source(entry)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"dataset {entry['name']!r}: {exc}") from exc
 
     payloads = [
         {"dataset": entry, "variant": variant.value, "seed": seed,
@@ -444,6 +449,12 @@ def _resolve_out_dir(flag_value, config_value) -> Path:
     return Path(DEFAULT_OUT_DIR)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mtstream",
@@ -453,8 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a prequential experiment matrix from a config file")
     run.add_argument("--config", required=True, help="run configuration (JSON)")
     run.add_argument("--out", default=None, help="output directory for report CSVs")
-    run.add_argument("--jobs", type=int, default=None,
-                     help="parallel worker processes (default: CPU count)")
+    run.add_argument("--jobs", type=_positive_int, default=None,
+                     help="parallel worker processes, at least 1 (default: CPU count)")
     run.add_argument("--seed", type=int, default=0,
                      help="base seed when the config lists no explicit seeds")
 

@@ -46,8 +46,8 @@ class PrequentialConfig:
             raise EvaluationError("window must be >= 1")
         if self.warm_start < 0:
             raise EvaluationError("warm_start must be >= 0")
-        if not self.seeds:
-            raise EvaluationError("at least one seed is required")
+        if not self.seeds or min(self.seeds) < 0:
+            raise EvaluationError(f"at least one seed is required, each >= 0: {self.seeds}")
 
     @property
     def repetitions(self) -> int:

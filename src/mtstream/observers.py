@@ -3,13 +3,13 @@
 Numeric features are tracked per distinct observed value: one column per
 value, accumulating the count, per-target sum, and per-target sum of squares
 of the examples carrying that exact value. Examples arrive in blocks: `fold`
-merges a block's new values into the sorted key array with `searchsorted`
-and `insert`, each new value's column being its first example's (1, y, y^2)
-row, then adds every later example's row to its key's column with one
-`np.add.at`, in arrival order. The keys stay sorted, so scanning
-candidates is one prefix sum over the columns, which reconstructs, for every
-observed value as a `v <= key` threshold, the exact left/right partition
-statistics in a handful of vectorized passes.
+merges the sorted keys with a block's values in one stable `np.unique`, moves
+the old columns to their new places, and adds every example's (1, y, y^2) row
+to its key's column with one `np.add.at`, in arrival order; new keys, repeated
+keys and one-example inserts take the same path. The keys stay sorted, so
+scanning candidates is one prefix sum over the columns, which reconstructs,
+for every observed value as a `v <= key` threshold, the exact left/right
+partition statistics in a handful of vectorized passes.
 
 Nominal features keep one aggregate row per declared category, folded the
 same way, and propose a single multiway split over the declared category set.
@@ -57,8 +57,7 @@ class EBSTObserver:
     answers the same queries. `seen` holds every distinct value added so far,
     each as its first-seen object; the tree adds to it once per example and
     folds the examples themselves only before it reads the observer. `keys`
-    and `rows` cover the folded values. Values must be finite: a NaN never
-    equals itself, so each one would take a fresh key.
+    and `rows` cover the folded values. Values must be finite.
     """
 
     __slots__ = ("n_targets", "seen", "keys", "rows")
@@ -79,32 +78,19 @@ class EBSTObserver:
         """Add the rows of `block` to the columns of `values`, one example per
         row in arrival order. Every value must already be in `seen`.
 
-        A new key's column is its first example's row, inserted as is: bit
-        for bit the sum -0.0 + row, since -0.0 is the additive identity.
-        The remaining rows add in arrival order, the order of one-at-a-time
-        inserts.
+        One stable merge of the old keys and the block's values keeps each
+        value's first-seen representative: an old key, else the block's first
+        arrival. Columns start at -0.0, the additive identity, and every row
+        adds in arrival order, so any blocking gives one-at-a-time bits.
         """
-        keys = self.keys
-        at = np.searchsorted(keys, values)
-        found = at < len(keys)
-        found[found] = keys[at[found]] == values[found]
-        if found.all():
-            np.add.at(self.rows.T, at, block)
-            return
-        if len(values) == 1:
-            first = np.zeros(1, dtype=np.intp)
-        else:
-            unseen = np.flatnonzero(~found)
-            _, first = np.unique(values[unseen], return_index=True)  # stable: first seen
-            first = unseen[first]
-        fresh = values[first]
-        where = np.searchsorted(keys, fresh)
-        self.keys = keys = np.insert(keys, where, fresh)
-        self.rows = np.insert(self.rows, where, block[first].T, axis=1)
-        if len(first) < len(values):
-            rest = np.ones(len(values), dtype=bool)
-            rest[first] = False
-            np.add.at(self.rows.T, np.searchsorted(keys, values[rest]), block[rest])
+        n = len(self.keys)
+        merged = np.concatenate((self.keys, values))
+        _, first, inverse = np.unique(merged, return_index=True, return_inverse=True)
+        rows = np.full((len(self.rows), len(first)), -0.0)
+        rows[:, inverse[:n]] = self.rows
+        np.add.at(rows.T, inverse[n:], block)
+        self.keys = merged[first]
+        self.rows = rows
 
     @property
     def distinct_keys(self) -> int:

@@ -84,6 +84,8 @@ class GeneratorSpec:
             raise ConfigError("n_examples and n_targets must be positive")
         if self.noise_sd < 0:
             raise ConfigError("noise_sd must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.target_affine is not None and len(self.target_affine) != self.n_targets:
             raise ConfigError("target_affine needs one (a, b) pair per target")
         if self.drift is not None:
@@ -323,10 +325,10 @@ class CsvSchemaDecl:
                 for f in decl["features"]
             )
             targets = tuple(decl["targets"])
+            sentinel = decl.get("sentinel_value")
+            columns = frozenset(decl.get("sentinel_columns", ()))
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad schema declaration: {exc}") from exc
-        sentinel = decl.get("sentinel_value")
-        columns = frozenset(decl.get("sentinel_columns", ()))
         schema = StreamSchema(features=features, targets=targets)
         known = {f.name for f in features}
         unknown = columns - known

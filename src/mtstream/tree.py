@@ -54,6 +54,8 @@ class TreeConfig:
         self.hoeffding_params()
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def hoeffding_params(self) -> HoeffdingParams:
         return HoeffdingParams(delta=self.delta, tau=self.tau,
@@ -100,11 +102,8 @@ class LeafNode:
         block = moment_block([inst.targets for inst in pending])
         values = np.array([inst.features for inst in pending], dtype=float)
         present = values == values
-        for obs, column, mask, full in zip(self.observers, values.T, present.T,
-                                           present.all(axis=0).tolist()):
-            if full:
-                obs.fold(column, block)
-            elif mask.any():
+        for obs, column, mask in zip(self.observers, values.T, present.T):
+            if mask.any():
                 obs.fold(column[mask], block[mask])
         self.pending = []
 

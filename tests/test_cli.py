@@ -23,6 +23,15 @@ def run_config(tmp_path, n=500, variants=("mean",), seeds=(0,), name="toy",
     return path
 
 
+# a declaration for the CSV cases of the malformed-config test; its
+# short.csv lacks the x2 column
+_CSV_SCHEMA = {"features": [{"name": "x1"}, {"name": "x2"}], "targets": ["y"]}
+
+
+def _csv_entry(csv, schema=_CSV_SCHEMA):
+    return lambda doc: {**doc, "datasets": [{"name": "toy", "csv": csv, "schema": schema}]}
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -145,9 +154,27 @@ class TestRun:
         pytest.param(lambda doc: {**doc, "output_dir": 5},
                      "output_dir must be a string", id="output_dir_not_string"),
         pytest.param(lambda doc: [doc], "must be an object", id="top_level_array"),
+        pytest.param(_csv_entry("short.csv", schema=5),
+                     "datasets[0].schema must be a path string or an object",
+                     id="csv_schema_not_object"),
+        pytest.param(_csv_entry(5), "datasets[0].csv must be a string", id="csv_not_string"),
+        pytest.param(_csv_entry("missing.csv"), "No such file", id="csv_file_missing"),
+        pytest.param(_csv_entry("short.csv", schema="missing.json"), "No such file",
+                     id="csv_schema_file_missing"),
+        pytest.param(_csv_entry("short.csv"), "header lacks declared columns ['x2']",
+                     id="csv_header_lacks_column"),
+        pytest.param(_csv_entry("short.csv", schema={**_CSV_SCHEMA, "sentinel_columns": 5}),
+                     "bad schema declaration", id="csv_sentinel_columns_not_list"),
+        pytest.param(lambda doc: {**doc, "datasets": [{"name": "toy", "generator": {
+            "family": "friedman_mt", "seed": -1}}]},
+                     "seed must be >= 0, got -1", id="generator_seed_negative"),
+        pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"], "seeds": [-1]}},
+                     "each >= 0", id="seed_negative"),
     ])
-    def test_malformed_config_exits_2_before_any_cell(self, tmp_path, capsys, mutate,
-                                                       message):
+    def test_malformed_config_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch,
+                                                       mutate, message):
+        monkeypatch.chdir(tmp_path)  # the CSV cases name files relative to it
+        (tmp_path / "short.csv").write_text("x1,y\n0.5,1.0\n")
         cfg = run_config(tmp_path)
         doc = mutate(json.loads(cfg.read_text()))
         cfg.write_text(json.dumps(doc))
@@ -160,6 +187,28 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert message in err
+        assert "Traceback" not in err
+
+    def test_negative_base_seed_exits_2_before_any_cell(self, tmp_path, capsys):
+        cfg = run_config(tmp_path, evaluation={"window": 100, "warm_start": 200,
+                                               "repetitions": 2})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "-2"]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed must be >= 0, got -2" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "1.5", "two"])
+    def test_jobs_must_be_a_positive_integer(self, tmp_path, capsys, jobs):
+        cfg = run_config(tmp_path)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs])
+        assert exit_.value.code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"error: argument --jobs: must be an integer >= 1, got {jobs!r}" in err
         assert "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -315,6 +364,17 @@ class TestGenerate:
         main(["generate", "--config", str(cfg), "--out", str(out_a)])
         main(["generate", "--config", str(cfg), "--out", str(out_b), "--seed", "99"])
         assert (out_a / "plane.csv").read_bytes() != (out_b / "plane.csv").read_bytes()
+
+    @pytest.mark.parametrize("flags, spec_seed", [(["--seed", "-1"], 3), ([], -1)],
+                             ids=["flag", "spec"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, flags, spec_seed):
+        out = tmp_path / "streams"
+        assert main(["generate", "--config", str(self.spec_file(tmp_path, seed=spec_seed)),
+                     "--out", str(out), *flags]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed must be >= 0, got -1" in err
+        assert "Traceback" not in err
 
     def test_unwritable_path_exits_1(self, tmp_path):
         target = tmp_path / "blocked"

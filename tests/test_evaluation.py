@@ -52,6 +52,8 @@ class TestPrequentialConfig:
             PrequentialConfig(window=0)
         with pytest.raises(EvaluationError):
             PrequentialConfig(seeds=())
+        with pytest.raises(EvaluationError):
+            PrequentialConfig(seeds=(3, -1))
 
 
 def fried(n, seed=0, d=2, noise=1.0):

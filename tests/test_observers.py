@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtstream.observers import EBSTObserver, NominalObserver
@@ -205,7 +205,12 @@ class TestBlockFold:
     """A leaf folds its pending examples in blocks; any block boundaries give
     the bits of one-at-a-time inserts."""
 
+    _SIGNED_ZEROS = [(0.0, 0, (0.1, 1e16)), (-0.0, 1, (-2.5, 0.1)), (1, None, (3.0, -0.0)),
+                     (-0.0, 2, (1e-3, 1e16))]
+
     @settings(max_examples=80, deadline=None)
+    @example(rows=_SIGNED_ZEROS, cuts=set())  # 0.0 then -0.0 in one block
+    @example(rows=_SIGNED_ZEROS, cuts={0})  # -0.0 arrives after the key 0.0
     @given(rows=st.lists(st.tuples(st.one_of(st.none(), _VALUES),
                                    st.one_of(st.none(), st.integers(0, 2)),
                                    _ORDERED_TARGETS), min_size=1, max_size=60),
@@ -228,12 +233,15 @@ class TestBlockFold:
         leaf.fold_pending()
         folded, folded_nominal = leaf.observers
 
+        reference = one_at_a_time_dump([(v, y) for v, _, y in rows if v is not None], 2)
         assert repr(folded.key_ordered_dump()) == repr(numeric.key_ordered_dump())
-        assert repr(numeric.key_ordered_dump()) == repr(one_at_a_time_dump(
-            [(v, y) for v, _, y in rows if v is not None], 2))
+        assert repr(numeric.key_ordered_dump()) == repr(reference)
         assert folded.distinct_keys == numeric.distinct_keys
         assert folded.memory_slots() == numeric.memory_slots()
         assert repr(folded.keys.tolist()) == repr(numeric.keys.tolist())
+        # the stored keys are the split thresholds: each is its value's
+        # first-seen float (-0.0 stays -0.0 after a later 0.0)
+        assert repr(folded.keys.tolist()) == repr([float(key) for key, *_ in reference])
         assert repr(folded_nominal.table.tolist()) == repr(nominal.table.tolist())
 
 

@@ -183,6 +183,8 @@ class TestGeneratorSpecValidation:
             GeneratorSpec(family="plane_mt", n_examples=0)
         with pytest.raises(ConfigError):
             GeneratorSpec(family="plane_mt", noise_sd=-1.0)
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            GeneratorSpec(family="plane_mt", seed=-1)
 
     def test_affine_length_must_match_targets(self):
         with pytest.raises(ConfigError):

@@ -50,6 +50,12 @@ def grown_tree(instances, schema, variant=Variant.MEAN, **kwargs):
     return tree
 
 
+class TestTreeConfig:
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TreeConfig(seed=-1)
+
+
 class TestRouting:
     def test_single_leaf_tree(self):
         tree = MultiTargetHoeffdingTree(numeric_schema(2, 1), TreeConfig())
