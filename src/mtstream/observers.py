@@ -54,24 +54,25 @@ class EBSTObserver:
     column each, scanned as prefix sums.
 
     The class keeps the FIMT-DD name (extended binary search tree) because it
-    answers the same queries. `seen` holds every distinct value added so far,
-    each as its first-seen object; the tree adds to it once per example and
-    folds the examples themselves only before it reads the observer. `keys`
-    and `rows` cover the folded values. Values must be finite.
+    answers the same queries. `seen` is an insertion-ordered dict whose keys
+    are every distinct value added so far, each as its first-seen object (its
+    values are None); the tree adds to it once per example and folds the
+    examples themselves only before it reads the observer. `keys` and `rows`
+    cover the folded values. Values must be finite.
     """
 
     __slots__ = ("n_targets", "seen", "keys", "rows")
 
     def __init__(self, n_targets: int):
         self.n_targets = n_targets
-        self.seen: set = set()
+        self.seen: dict = {}
         self.keys = np.empty(0)  # sorted; keys[j] is its value as first seen
         # (1 + 2d, n): count, sums, sums of squares; column j is keys[j]
         self.rows = np.empty((1 + 2 * n_targets, 0))
 
     def insert(self, v: float, y) -> None:
         """Fold one (value, target-vector) pair into the observer."""
-        self.seen.add(v)
+        self.seen[v] = None
         self.fold(np.array([v], dtype=float), moment_block([y]))
 
     def fold(self, values: np.ndarray, block: np.ndarray) -> None:

@@ -315,20 +315,27 @@ class CsvSchemaDecl:
 
     @classmethod
     def from_dict(cls, decl: dict) -> "CsvSchemaDecl":
+        """Parse a JSON declaration. `targets`, each `categories` and
+        `sentinel_columns` must be lists of strings, and `sentinel_value` a
+        finite number or null; anything else raises SchemaError."""
         try:
             features = tuple(
                 FeatureSpec(
                     name=f["name"],
                     kind=f.get("kind", NUMERIC),
-                    categories=tuple(f.get("categories", ())),
+                    categories=_names(f.get("categories", ()), f"categories of {f['name']!r}"),
                 )
                 for f in decl["features"]
             )
-            targets = tuple(decl["targets"])
+            targets = _names(decl["targets"], "targets")
             sentinel = decl.get("sentinel_value")
-            columns = frozenset(decl.get("sentinel_columns", ()))
+            columns = frozenset(_names(decl.get("sentinel_columns", ()), "sentinel_columns"))
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad schema declaration: {exc}") from exc
+        if sentinel is not None and not _finite_number(sentinel):
+            raise SchemaError(
+                f"bad schema declaration: sentinel_value must be a finite number or null, "
+                f"got {sentinel!r}")
         schema = StreamSchema(features=features, targets=targets)
         known = {f.name for f in features}
         unknown = columns - known
@@ -442,6 +449,24 @@ class CsvStream:
 
 class _RowError(ValueError):
     pass
+
+
+def _names(value, what: str) -> tuple[str, ...]:
+    """`value` as a tuple of strings; a string or any other non-list is a
+    SchemaError rather than a sequence of characters."""
+    if not (isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)):
+        raise SchemaError(f"bad schema declaration: {what} must be a list of strings, "
+                          f"got {value!r}")
+    return tuple(value)
+
+
+def _finite_number(value) -> bool:
+    """True for a number that a float holds as a finite value; a bool is not
+    a number here."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 def _parses_as(raw: str, sentinel: float) -> bool:

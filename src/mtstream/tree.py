@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ SERIAL_FORMAT = "mtstream-tree/1"
 # Size accounting: every stored float/int/reference counts as one 8-byte slot.
 NODE_BASE_SLOTS = 4  # kind tag, feature id, threshold, child count
 LEAF_COUNTER_SLOTS = 4  # examples seen, attempt counter, ratio total + count
+
+_NAN = math.nan  # a missing value in a leaf's pending feature buffer
 
 
 @dataclass(frozen=True)
@@ -76,8 +79,13 @@ class SplitNode:
 
 
 class LeafNode:
+    """A leaf's statistics, observers and predictors, plus its pending block:
+    the examples learned since the last fold, packed row by row into two
+    float64 buffers (features with missing values as NaN and nominal indices
+    as floats; targets). The leaf keeps no reference to a learned Instance."""
+
     __slots__ = ("stats", "observers", "predictors", "ratio",
-                 "examples_seen", "since_attempt", "pending")
+                 "examples_seen", "since_attempt", "pending_x", "pending_y")
 
     def __init__(self, stats: VectorStats, observers: list,
                  predictors: LeafPredictorSet):
@@ -87,25 +95,37 @@ class LeafNode:
         self.ratio = MeritRatio()
         self.examples_seen = 0
         self.since_attempt = 0
-        self.pending: list[Instance] = []  # learned, not yet in the observers
+        self.pending_x = array("d")  # learned, not yet in the observers
+        self.pending_y = array("d")
 
     @property
     def is_leaf(self) -> bool:
         return True
 
+    def add_pending(self, features: tuple, targets: tuple, numeric) -> None:
+        """Append one learned example to the pending block. Its present
+        values at the `numeric` positions join their observers' `seen`."""
+        observers = self.observers
+        for i in numeric:
+            v = features[i]
+            if v is not None:
+                observers[i].seen[v] = None
+        self.pending_x.fromlist([_NAN if v is None else v for v in features])
+        self.pending_y.fromlist(list(targets))
+
     def fold_pending(self) -> None:
         """Fold the pending block into every observer, in arrival order.
-        Missing values (None, read as NaN) never reach an observer."""
-        pending = self.pending
-        if not pending:
+        Missing values (NaN) never reach an observer."""
+        if not self.pending_x:
             return
-        block = moment_block([inst.targets for inst in pending])
-        values = np.array([inst.features for inst in pending], dtype=float)
+        values = np.frombuffer(self.pending_x).reshape(-1, len(self.observers))
+        block = moment_block(np.frombuffer(self.pending_y).reshape(len(values), -1))
         present = values == values
         for obs, column, mask in zip(self.observers, values.T, present.T):
             if mask.any():
                 obs.fold(column[mask], block[mask])
-        self.pending = []
+        self.pending_x = array("d")
+        self.pending_y = array("d")
 
 
 class MultiTargetHoeffdingTree:
@@ -230,12 +250,7 @@ class MultiTargetHoeffdingTree:
         prediction = predictors.select_from(candidates) if want_prediction else None
         predictors.score_candidates(candidates, y)
 
-        observers = leaf.observers
-        for i in self._numeric:
-            v = features[i]
-            if v is not None:
-                observers[i].seen.add(v)
-        leaf.pending.append(instance)  # folded at the next split attempt
+        leaf.add_pending(features, y, self._numeric)  # folded at the next split attempt
 
         # one pass updates the statistics and, for linear leaves, returns the
         # standardized inputs and targets of the updated state

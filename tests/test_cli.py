@@ -165,6 +165,23 @@ class TestRun:
                      id="csv_header_lacks_column"),
         pytest.param(_csv_entry("short.csv", schema={**_CSV_SCHEMA, "sentinel_columns": 5}),
                      "bad schema declaration", id="csv_sentinel_columns_not_list"),
+        pytest.param(_csv_entry("short.csv", schema={"features": [{"name": "x1"}],
+                                                     "targets": "y"}),
+                     "targets must be a list of strings, got 'y'", id="csv_targets_string"),
+        pytest.param(_csv_entry("short.csv", schema={"features": [{"name": "x1"}],
+                                                     "targets": "yy"}),
+                     "targets must be a list of strings, got 'yy'",
+                     id="csv_targets_repeated_string"),
+        pytest.param(_csv_entry("short.csv", schema={
+            "features": [{"name": "x1", "kind": "nominal", "categories": "ab"}],
+            "targets": ["y"]}),
+                     "categories of 'x1' must be a list of strings, got 'ab'",
+                     id="csv_categories_string"),
+        pytest.param(_csv_entry("short.csv", schema={
+            "features": [{"name": "x1"}], "targets": ["y"],
+            "sentinel_value": "abc", "sentinel_columns": ["x1"]}),
+                     "sentinel_value must be a finite number or null, got 'abc'",
+                     id="csv_sentinel_value_string"),
         pytest.param(lambda doc: {**doc, "datasets": [{"name": "toy", "generator": {
             "family": "friedman_mt", "seed": -1}}]},
                      "seed must be >= 0, got -1", id="generator_seed_negative"),

@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtstream.observers import EBSTObserver, NominalObserver
-from mtstream.schema import Instance
 from mtstream.tree import LeafNode
 
 
@@ -225,9 +224,7 @@ class TestBlockFold:
 
         leaf = LeafNode(None, [EBSTObserver(2), NominalObserver(3, 2)], None)
         for k, (v, c, y) in enumerate(rows):
-            if v is not None:
-                leaf.observers[0].seen.add(v)
-            leaf.pending.append(Instance(features=(v, c), targets=y))
+            leaf.add_pending((v, c), y, (0,))
             if k in cuts:
                 leaf.fold_pending()
         leaf.fold_pending()

@@ -270,6 +270,38 @@ class TestCsvRoundTrip:
         assert loaded == decl
 
 
+class TestSchemaDeclValidation:
+    """A malformed declaration is a SchemaError, never a string split into
+    characters or a sentinel that can never match."""
+
+    @pytest.mark.parametrize("decl, message", [
+        ({"features": [{"name": "x1"}], "targets": "y"},
+         "targets must be a list of strings, got 'y'"),
+        ({"features": [{"name": "x1"}], "targets": "yy"},
+         "targets must be a list of strings, got 'yy'"),
+        ({"features": [{"name": "x1"}], "targets": ["y", 3]},
+         "targets must be a list of strings"),
+        ({"features": [{"name": "c", "kind": "nominal", "categories": "ab"}], "targets": ["y"]},
+         "categories of 'c' must be a list of strings, got 'ab'"),
+        ({"features": [{"name": "x1"}], "targets": ["y"], "sentinel_columns": "x1"},
+         "sentinel_columns must be a list of strings, got 'x1'"),
+        ({"features": [{"name": "x1"}], "targets": ["y"], "sentinel_value": "abc"},
+         "sentinel_value must be a finite number or null, got 'abc'"),
+        ({"features": [{"name": "x1"}], "targets": ["y"], "sentinel_value": float("nan")},
+         "sentinel_value must be a finite number or null, got nan"),
+        ({"features": [{"name": "x1"}], "targets": ["y"], "sentinel_value": True},
+         "sentinel_value must be a finite number or null, got True"),
+        ({"features": [{"name": "x1"}], "targets": ["y"], "sentinel_value": 10 ** 400},
+         "sentinel_value must be a finite number or null"),
+    ], ids=["targets_string", "targets_repeated_string", "targets_non_string",
+            "categories_string", "sentinel_columns_string", "sentinel_value_string",
+            "sentinel_value_nan", "sentinel_value_bool", "sentinel_value_beyond_float"])
+    def test_malformed_declaration_is_rejected(self, decl, message):
+        with pytest.raises(SchemaError, match="bad schema declaration") as err:
+            CsvSchemaDecl.from_dict(decl)
+        assert message in str(err.value)
+
+
 class TestLength:
     def test_len_matches_requested_examples(self):
         spec = GeneratorSpec(family="plane_mt", n_examples=77, n_targets=1, seed=0)

@@ -1,6 +1,8 @@
+import gc
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -416,6 +418,90 @@ class TestModelSize:
         double.root = SplitNode(0, 0.5, [double._new_leaf(), double._new_leaf()])
         split_overhead = 8 * (4 + 2)  # node slots + two child links
         assert double.model_size_bytes() == 2 * leaf_bytes + split_overhead
+
+
+def _leaves(tree):
+    stack, leaves = [tree.root], []
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            leaves.append(node)
+        else:
+            stack.extend(node.children)
+    return leaves
+
+
+def _distinct_by_eq(values):
+    """Number of distinct values under ==, without hashing."""
+    kept = []
+    for v in values:
+        if all(v != w for w in kept):
+            kept.append(v)
+    return len(kept)
+
+
+_MIXED_SCHEMA = StreamSchema(
+    features=(FeatureSpec("x"), FeatureSpec("c", kind=NOMINAL, categories=("a", "b", "z")),
+              FeatureSpec("w")),
+    targets=("y0", "y1"))
+
+
+class TestMemoryLayout:
+    """What a tree keeps of the examples it has learned."""
+
+    def test_no_learned_instance_stays_alive(self):
+        tree = MultiTargetHoeffdingTree(
+            _MIXED_SCHEMA, TreeConfig(variant=Variant.STACKED_ADAPTIVE, grace_period=100))
+        rng = np.random.default_rng(11)
+
+        def learn_one():
+            c = None if rng.random() < 0.1 else int(rng.integers(0, 3))
+            x = None if rng.random() < 0.2 else float(rng.integers(0, 12)) / 4.0
+            w = float(rng.random())
+            inst = Instance(features=(x, c, w),
+                            targets=(float(c or 0) + w + float(rng.normal(0, 0.1)), 2.0 * w))
+            tree.predict_then_learn(inst)
+            return weakref.ref(inst)
+
+        refs = [learn_one() for _ in range(450)]  # 450 % 100: some remain pending
+        gc.collect()
+        assert tree.split_attempt_count >= 4
+        assert [r for r in refs if r() is not None] == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(
+        st.tuples(st.one_of(st.none(), st.sampled_from([0.0, -0.0, 0, 1, 1.0, 2, 2.5, -3.0])),
+                  st.one_of(st.none(), st.integers(0, 2)),
+                  st.one_of(st.none(), st.integers(-2, 2), st.floats(-4, 4, width=16)),
+                  st.integers(-5, 5)),
+        min_size=1, max_size=120))
+    def test_distinct_keys_count_values_routed_since_leaf_creation(self, rows):
+        d, n_numeric, n_categories = 2, 2, 3
+        tree = MultiTargetHoeffdingTree(
+            _MIXED_SCHEMA,
+            TreeConfig(variant=Variant.MEAN, grace_period=8, delta=0.9, tau=0.5))
+        routed = {}  # leaf -> the present values of x and of w routed to it
+        for x, c, w, y in rows:
+            inst = Instance(features=(x, c, w), targets=(float(y), float(y * y)))
+            xs, ws = routed.setdefault(tree.route(inst), ([], []))
+            if x is not None:
+                xs.append(x)
+            if w is not None:
+                ws.append(w)
+            tree.learn(inst)
+
+            nodes = tree.leaf_count + tree.split_count
+            slots = 4 * nodes + (nodes - 1)  # node overhead, child links
+            for leaf in _leaves(tree):
+                expected = [_distinct_by_eq(values) for values in routed.get(leaf, ([], []))]
+                assert [leaf.observers[0].distinct_keys, leaf.observers[2].distinct_keys] \
+                    == expected
+                # counters, target and numeric feature stats, observers, and
+                # the mean predictor's faded table
+                slots += 4 + 3 * d + 3 * n_numeric
+                slots += (2 + 2 * d) * sum(expected) + (1 + 2 * d) * n_categories
+                slots += 2 * d
+            assert tree.model_size_bytes() == 8 * slots
 
 
 class TestSerialization:
