@@ -54,30 +54,26 @@ class EBSTObserver:
     column each, scanned as prefix sums.
 
     The class keeps the FIMT-DD name (extended binary search tree) because it
-    answers the same queries. `seen` is an insertion-ordered dict whose keys
-    are every distinct value added so far, each as its first-seen object (its
-    values are None); the tree adds to it once per example and folds the
-    examples themselves only before it reads the observer. `keys` and `rows`
-    cover the folded values. Values must be finite.
+    answers the same queries. The tree folds a leaf's examples in blocks, and
+    only before it reads the observer, so `keys` and `rows` hold the folded
+    values and nothing else. Values must be finite.
     """
 
-    __slots__ = ("n_targets", "seen", "keys", "rows")
+    __slots__ = ("n_targets", "keys", "rows")
 
     def __init__(self, n_targets: int):
         self.n_targets = n_targets
-        self.seen: dict = {}
         self.keys = np.empty(0)  # sorted; keys[j] is its value as first seen
         # (1 + 2d, n): count, sums, sums of squares; column j is keys[j]
         self.rows = np.empty((1 + 2 * n_targets, 0))
 
     def insert(self, v: float, y) -> None:
         """Fold one (value, target-vector) pair into the observer."""
-        self.seen[v] = None
         self.fold(np.array([v], dtype=float), moment_block([y]))
 
     def fold(self, values: np.ndarray, block: np.ndarray) -> None:
         """Add the rows of `block` to the columns of `values`, one example per
-        row in arrival order. Every value must already be in `seen`.
+        row in arrival order.
 
         One stable merge of the old keys and the block's values keeps each
         value's first-seen representative: an old key, else the block's first
@@ -95,7 +91,7 @@ class EBSTObserver:
 
     @property
     def distinct_keys(self) -> int:
-        return len(self.seen)
+        return len(self.keys)
 
     def _scan(self, parent):
         """Vectorized candidate evaluation.
@@ -154,10 +150,10 @@ class EBSTObserver:
 
     def key_ordered_dump(self) -> list:
         """(key, count, sums, sumsqs) rows of the folded values in increasing
-        key order; each key is the first-seen object of its value."""
-        first_seen = {v: v for v in self.seen}
+        key order; each key is the stored float, its value's first-seen form
+        (an integer 1 dumps as 1.0, and -0.0 stays -0.0)."""
         d = self.n_targets
-        return [[first_seen[key], column[0], column[1:1 + d], column[1 + d:]]
+        return [[key, column[0], column[1:1 + d], column[1 + d:]]
                 for key, column in zip(self.keys.tolist(), self.rows.T.tolist())]
 
     def dump(self) -> dict:
@@ -165,8 +161,8 @@ class EBSTObserver:
         return {"kind": "numeric", "nodes": self.key_ordered_dump()}
 
     def memory_slots(self) -> int:
-        # key + count + per-target (sum, sumsq) per distinct value
-        return len(self.seen) * (2 + 2 * self.n_targets)
+        # key + count + per-target (sum, sumsq) per folded distinct value
+        return len(self.keys) * (2 + 2 * self.n_targets)
 
 
 def _column(parent) -> np.ndarray:

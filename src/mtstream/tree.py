@@ -102,14 +102,8 @@ class LeafNode:
     def is_leaf(self) -> bool:
         return True
 
-    def add_pending(self, features: tuple, targets: tuple, numeric) -> None:
-        """Append one learned example to the pending block. Its present
-        values at the `numeric` positions join their observers' `seen`."""
-        observers = self.observers
-        for i in numeric:
-            v = features[i]
-            if v is not None:
-                observers[i].seen[v] = None
+    def add_pending(self, features: tuple, targets: tuple) -> None:
+        """Append one learned example to the pending block."""
         self.pending_x.fromlist([_NAN if v is None else v for v in features])
         self.pending_y.fromlist(list(targets))
 
@@ -250,7 +244,7 @@ class MultiTargetHoeffdingTree:
         prediction = predictors.select_from(candidates) if want_prediction else None
         predictors.score_candidates(candidates, y)
 
-        leaf.add_pending(features, y, self._numeric)  # folded at the next split attempt
+        leaf.add_pending(features, y)  # folded at the next split attempt
 
         # one pass updates the statistics and, for linear leaves, returns the
         # standardized inputs and targets of the updated state
@@ -324,10 +318,14 @@ class MultiTargetHoeffdingTree:
         Every stored float, count, or reference is one 8-byte slot:
         - any node: 4 base slots; split nodes add one slot per child link;
         - leaf statistics: 3 slots per target and per numeric feature;
-        - observers: numeric, (2 + 2d) slots per distinct key; nominal,
-          (1 + 2d) slots per declared category;
+        - observers: numeric, (2 + 2d) slots per folded distinct key;
+          nominal, (1 + 2d) slots per declared category;
         - leaf models: one slot per weight, 2 slots per target per scored
           predictor (faded numerator/denominator), 4 counter slots.
+
+        A leaf's pending block (at most `grace_period` rows, folded at every
+        split attempt) is not counted. `serialize()` folds it first, so it
+        can raise a later count.
         """
         total_slots = 0
         stack = [self.root]

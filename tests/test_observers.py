@@ -70,7 +70,7 @@ class TestInsert:
                               (1.0, (2.0,))], 1)
         assert obs.distinct_keys == 2
         dump = obs.key_ordered_dump()
-        assert [repr(row[0]) for row in dump] == ["0.0", "1"]
+        assert [repr(row[0]) for row in dump] == ["0.0", "1.0"]
         assert [row[1] for row in dump] == [2.0, 2.0]
 
     def test_equal_keys_fold_into_one_node(self):
@@ -187,12 +187,13 @@ class TestHashIndexProperties:
 
 def one_at_a_time_dump(pairs, d):
     """key_ordered_dump() of pairs folded in plain Python floats: a value's
-    first example sets its row, later ones add to it in arrival order."""
+    first example sets its row, later ones add to it in arrival order; the
+    key is the float of the value's first-seen form."""
     rows = {}
     for v, y in pairs:
         row = [1.0, *y, *[t * t for t in y]]
         rows[v] = [a + b for a, b in zip(rows[v], row)] if v in rows else row
-    return [[key, row[0], row[1:1 + d], row[1 + d:]]
+    return [[float(key), row[0], row[1:1 + d], row[1 + d:]]
             for key, row in sorted(rows.items())]
 
 
@@ -224,7 +225,7 @@ class TestBlockFold:
 
         leaf = LeafNode(None, [EBSTObserver(2), NominalObserver(3, 2)], None)
         for k, (v, c, y) in enumerate(rows):
-            leaf.add_pending((v, c), y, (0,))
+            leaf.add_pending((v, c), y)
             if k in cuts:
                 leaf.fold_pending()
         leaf.fold_pending()

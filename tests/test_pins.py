@@ -112,7 +112,7 @@ SKELETON = {
         'b6e01fe2d09bb613cc5da4a463e58025abdb580d959f86ecd3c7d4872dea7aae',
 }
 
-REPORT = 'bf1bfc1223084e0f408f02d30b5024738bd46d71ac1069ad4f4d6f8ef6228503'
+REPORT = '770032dd986b3dfb641ad04bb24c3bce46dfba58d9401a74fc0126d4d0be8f6f'
 
 
 @pytest.mark.parametrize("family", FAMILIES)

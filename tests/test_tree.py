@@ -2,6 +2,7 @@ import gc
 import math
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -161,6 +162,7 @@ class TestLearnContract:
         leaf = tree.root
         assert leaf.stats.features[0].n == 1
         assert leaf.stats.features[1].n == 1
+        leaf.fold_pending()
         assert leaf.observers[0].distinct_keys == 1
         assert leaf.observers[1].distinct_keys == 1
         assert leaf.stats.targets[0].n == 2  # targets always update
@@ -468,6 +470,26 @@ class TestMemoryLayout:
         assert tree.split_attempt_count >= 4
         assert [r for r in refs if r() is not None] == []
 
+    def test_model_size_accounts_for_what_a_leaf_keeps(self):
+        # constant targets: the one mean leaf never splits, and each example's
+        # feature values are fresh floats, as a stream's are
+        n, m = 19_900, 10
+        xs = np.random.default_rng(5).random((n, m))
+        targets = (1.0, -2.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tree = MultiTargetHoeffdingTree(numeric_schema(m, 2),
+                                            TreeConfig(variant=Variant.MEAN))
+            for row in xs:
+                tree.learn(Instance(features=tuple(row.tolist()), targets=targets))
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert tree.leaf_count == 1
+        assert grown <= 1.05 * tree.model_size_bytes()
+
     @settings(max_examples=60, deadline=None)
     @given(rows=st.lists(
         st.tuples(st.one_of(st.none(), st.sampled_from([0.0, -0.0, 0, 1, 1.0, 2, 2.5, -3.0])),
@@ -480,20 +502,22 @@ class TestMemoryLayout:
         tree = MultiTargetHoeffdingTree(
             _MIXED_SCHEMA,
             TreeConfig(variant=Variant.MEAN, grace_period=8, delta=0.9, tau=0.5))
-        routed = {}  # leaf -> the present values of x and of w routed to it
+        routed = {}  # leaf -> the (x, w) values of every example routed to it
+        folded = {}  # leaf -> how many of them its last split attempt folded
         for x, c, w, y in rows:
             inst = Instance(features=(x, c, w), targets=(float(y), float(y * y)))
-            xs, ws = routed.setdefault(tree.route(inst), ([], []))
-            if x is not None:
-                xs.append(x)
-            if w is not None:
-                ws.append(w)
+            home = tree.route(inst)
+            routed.setdefault(home, []).append((x, w))
             tree.learn(inst)
+            if home.since_attempt == 0:  # an attempt folded the pending block
+                folded[home] = len(routed[home])
 
             nodes = tree.leaf_count + tree.split_count
             slots = 4 * nodes + (nodes - 1)  # node overhead, child links
             for leaf in _leaves(tree):
-                expected = [_distinct_by_eq(values) for values in routed.get(leaf, ([], []))]
+                done = routed.get(leaf, [])[:folded.get(leaf, 0)]
+                expected = [_distinct_by_eq([row[k] for row in done if row[k] is not None])
+                            for k in (0, 1)]
                 assert [leaf.observers[0].distinct_keys, leaf.observers[2].distinct_keys] \
                     == expected
                 # counters, target and numeric feature stats, observers, and
