@@ -13,8 +13,8 @@ import numpy as np
 
 from mtstream import (
     EBSTObserver,
-    HoeffdingParams,
     MeritRatio,
+    TreeConfig,
     decide_split,
     hoeffding_bound,
 )
@@ -46,16 +46,16 @@ print(f"  informative feature: threshold {best0.threshold:.3f}, merit {best0.mer
 print(f"  noise feature:       threshold {best1.threshold:.3f}, merit {best1.merit:.3f}")
 
 # --- the decision ----------------------------------------------------------------
-params = HoeffdingParams()  # delta 1e-7, tau 0.05, grace period 200
+config = TreeConfig()  # delta 1e-7, tau 0.05, grace period 200
 ratio = MeritRatio()
-winner = decide_split(best0, best1, ratio, params, n_seen=n)
-xi = hoeffding_bound(n, params.delta)
+winner = decide_split(best0, best1, ratio, config, n_seen=n)
+xi = hoeffding_bound(n, config.delta)
 print(f"\nmerit ratio {ratio.mean:.4f} + bound {xi:.4f} = {ratio.mean + xi:.4f}"
       f" -> {'SPLIT on feature ' + str(winner.feature) if winner else 'keep waiting'}")
 
 # --- near-ties resolve through tau ------------------------------------------------
-clone = decide_split(best0, best0, MeritRatio(), params, n_seen=n)
+clone = decide_split(best0, best0, MeritRatio(), config, n_seen=n)
 print(f"identical merits at n = {n}: {'split' if clone else 'keep waiting'} "
       "(ratio stays ~1, bound still above tau)")
-clone = decide_split(best0, best0, MeritRatio(), params, n_seen=4000)
+clone = decide_split(best0, best0, MeritRatio(), config, n_seen=4000)
 print(f"identical merits at n = 4000: {'split via tie-break' if clone else 'keep waiting'}")

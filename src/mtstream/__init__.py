@@ -28,7 +28,7 @@ from .schema import (
     Variant,
     numeric_schema,
 )
-from .splitting import HoeffdingParams, MeritRatio, decide_split, hoeffding_bound
+from .splitting import MeritRatio, decide_split, hoeffding_bound
 from .stats import RunningStats, VectorStats
 from .streams import (
     ConfigError,
@@ -53,7 +53,6 @@ __all__ = [
     "FadedError",
     "FeatureSpec",
     "GeneratorSpec",
-    "HoeffdingParams",
     "Instance",
     "LeafPredictorSet",
     "MeritRatio",

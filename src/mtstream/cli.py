@@ -20,6 +20,7 @@ import re
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from .evaluation import (
@@ -79,26 +80,52 @@ def _expect(value, kind: type | tuple, what: str):
     return value
 
 
+def _int(value) -> int:
+    """int(value), refusing what int() would silently truncate: booleans and
+    non-integral numbers. Integral floats such as 1e4 pass."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _settings(doc: dict, convert: dict, ignore: tuple = ()) -> dict:
+    """The keys `doc` sets, each passed through `convert[key]`; the config
+    dataclass supplies every default. Keys in `ignore` are read elsewhere;
+    any other key is a ValueError naming it."""
+    settings = {}
+    for key, value in doc.items():
+        if key in convert:
+            try:
+                settings[key] = convert[key](value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{key}: {exc}") from exc
+        elif key not in ignore:
+            raise ValueError(f"unknown key {key!r}")
+    return settings
+
+
+def _drift(doc) -> DriftSpec | None:
+    if doc is None:
+        return None
+    return DriftSpec(**_settings(_expect(doc, dict, "generator drift"), {
+        "positions": lambda ps: tuple(map(_int, ps)), "mode": str}))
+
+
+_GENERATOR_SETTINGS = {
+    "family": str, "n_examples": _int, "n_targets": _int, "noise_sd": float, "seed": _int,
+    "drift": _drift,
+    "target_affine": lambda pairs: (tuple((float(a), float(b)) for a, b in pairs)
+                                    if pairs else None),
+}
+
+
 def parse_generator_spec(doc: dict, seed_override: int | None = None) -> GeneratorSpec:
     _expect(doc, dict, "generator spec")
-    if "family" not in doc:
-        raise UsageError("generator spec needs a 'family'")
-    affine = doc.get("target_affine")
     try:
-        drift = None
-        if doc.get("drift") is not None:
-            ddoc = _expect(doc["drift"], dict, "generator drift")
-            drift = DriftSpec(positions=tuple(ddoc.get("positions", ())),
-                              mode=ddoc.get("mode", "synchronous"))
-        return GeneratorSpec(
-            family=doc["family"],
-            n_examples=int(doc.get("n_examples", 10_000)),
-            n_targets=int(doc.get("n_targets", 2)),
-            noise_sd=float(doc.get("noise_sd", 1.0)),
-            seed=int(seed_override if seed_override is not None else doc.get("seed", 0)),
-            drift=drift,
-            target_affine=tuple((float(a), float(b)) for a, b in affine) if affine else None,
-        )
+        settings = _settings(doc, _GENERATOR_SETTINGS)
+        if seed_override is not None:
+            settings["seed"] = seed_override
+        return GeneratorSpec(**settings)
     except (ConfigError, TypeError, ValueError) as exc:
         raise UsageError(f"bad generator spec: {exc}") from exc
 
@@ -118,43 +145,44 @@ def parse_variants(names) -> list[Variant]:
     return out
 
 
+_TREE_SETTINGS = {"delta": float, "tau": float, "grace_period": _int, "learning_rate": float}
+
+
 def parse_tree_section(doc: dict, variant: Variant, seed: int) -> TreeConfig:
-    """Omitted fields default to the benchmark settings."""
+    """Omitted fields take the TreeConfig defaults, the benchmark settings.
+    A `warm_start` key is the legacy default of `evaluation.warm_start`."""
     _expect(doc, dict, "tree section")
-    if doc.get("ascend_errors", False):
-        raise UsageError("tree.ascend_errors is not supported: leaf models "
-                         "always descend the squared error")
     try:
-        return TreeConfig(
-            variant=variant,
-            delta=float(doc.get("delta", 1e-7)),
-            tau=float(doc.get("tau", 0.05)),
-            grace_period=int(doc.get("grace_period", 200)),
-            learning_rate=float(doc.get("learning_rate", 0.01)),
-            seed=seed,
-        )
+        return TreeConfig(variant=variant, seed=seed,
+                          **_settings(doc, _TREE_SETTINGS, ignore=("warm_start",)))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad tree section: {exc}") from exc
 
 
+def _seeds(seeds) -> tuple[int, ...] | None:
+    if seeds is None:
+        return None
+    return tuple(map(_int, _expect(seeds, list, "evaluation.seeds")))
+
+
+_EVALUATION_SETTINGS = {"window": _int, "warm_start": _int, "repetitions": _int, "seeds": _seeds}
+
+
 def parse_evaluation_section(doc: dict, tree_doc: dict, base_seed: int) -> PrequentialConfig:
+    """Omitted fields take the PrequentialConfig defaults. Without explicit
+    seeds, `repetitions` (30 by default) seeds count up from `base_seed`."""
     _expect(doc, dict, "evaluation section")
     _expect(tree_doc, dict, "tree section")
     try:
-        warm_default = int(tree_doc.get("warm_start", 200))
-        repetitions = int(doc.get("repetitions", 30))
-        seeds = doc.get("seeds")
-        if seeds is not None:
-            seeds = tuple(int(s) for s in _expect(seeds, list, "evaluation.seeds"))
-            if "repetitions" in doc and len(seeds) != repetitions:
-                raise UsageError("evaluation.seeds length must equal evaluation.repetitions")
-        else:
-            seeds = tuple(base_seed + i for i in range(repetitions))
-        return PrequentialConfig(
-            window=int(doc.get("window", 200)),
-            warm_start=int(doc.get("warm_start", warm_default)),
-            seeds=seeds,
-        )
+        settings = _settings(doc, _EVALUATION_SETTINGS)
+        if "warm_start" in tree_doc:  # checked even when evaluation sets its own
+            settings.setdefault("warm_start", _int(tree_doc["warm_start"]))
+        repetitions = settings.pop("repetitions", 30)
+        if settings.get("seeds") is None:
+            settings["seeds"] = tuple(base_seed + i for i in range(repetitions))
+        elif "repetitions" in doc and len(settings["seeds"]) != repetitions:
+            raise UsageError("evaluation.seeds length must equal evaluation.repetitions")
+        return PrequentialConfig(**settings)
     except (EvaluationError, TypeError, ValueError) as exc:
         raise UsageError(f"bad evaluation section: {exc}") from exc
 
@@ -189,14 +217,8 @@ def _make_source(entry: dict):
 
 def _run_cell(payload: dict) -> WindowedReport:
     """One (dataset, variant, seed) cell; module-level for process pools."""
-    source = _make_source(payload["dataset"])
-    tree_config = parse_tree_section(payload["tree"], Variant(payload["variant"]),
-                                     payload["seed"])
-    preq = PrequentialConfig(window=payload["window"],
-                             warm_start=payload["warm_start"],
-                             seeds=(payload["seed"],))
-    return run_prequential(source, tree_config, preq,
-                           dataset=payload["dataset"]["name"])
+    return run_prequential(_make_source(payload["dataset"]), payload["tree"],
+                           payload["evaluation"], dataset=payload["dataset"]["name"])
 
 
 def _leaf_cost(variant_name: str) -> tuple:
@@ -216,7 +238,7 @@ def cmd_run(args) -> int:
     datasets = _dataset_entries(doc)
     variants = parse_variants(doc.get("variants"))
     tree_doc = doc.get("tree", {})
-    parse_tree_section(tree_doc, variants[0], args.seed)  # exit 2 before any cell runs
+    tree = parse_tree_section(tree_doc, variants[0], args.seed)
     preq = parse_evaluation_section(doc.get("evaluation", {}), tree_doc, args.seed)
     for entry in datasets:  # each cell opens its source again
         try:
@@ -225,8 +247,8 @@ def cmd_run(args) -> int:
             raise UsageError(f"dataset {entry['name']!r}: {exc}") from exc
 
     payloads = [
-        {"dataset": entry, "variant": variant.value, "seed": seed,
-         "tree": tree_doc, "window": preq.window, "warm_start": preq.warm_start}
+        {"dataset": entry, "tree": replace(tree, variant=variant, seed=seed),
+         "evaluation": preq}
         for entry in datasets
         for variant in variants
         for seed in preq.seeds
@@ -238,7 +260,7 @@ def cmd_run(args) -> int:
         # longest leaf stack first, so no slow cell starts last; reports keep
         # the config order
         order = sorted(range(len(payloads)), reverse=True,
-                       key=lambda i: _leaf_cost(payloads[i]["variant"]))
+                       key=lambda i: _leaf_cost(payloads[i]["tree"].variant.value))
         reports = [None] * len(payloads)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for i, report in zip(order, pool.map(_run_cell, [payloads[i] for i in order])):
@@ -424,7 +446,9 @@ def cmd_compare(args) -> int:
 def cmd_generate(args) -> int:
     doc = _load_json(args.config)
     name = doc.get("name", doc.get("family", "stream"))
-    spec = parse_generator_spec(doc.get("generator", doc), seed_override=args.seed)
+    # the flat form keeps the generator keys beside the file's own
+    flat = {k: v for k, v in doc.items() if k not in ("name", "output_dir")}
+    spec = parse_generator_spec(doc.get("generator", flat), seed_override=args.seed)
     out_dir = _resolve_out_dir(args.out, doc.get("output_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{name}.csv"

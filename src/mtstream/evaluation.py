@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +35,8 @@ def armse(sq_error_sums, count: int) -> float:
 @dataclass(frozen=True)
 class PrequentialConfig:
     """window: examples per error window; warm_start: train-only prefix;
-    seeds: one RNG seed per repetition."""
+    seeds: the repetitions `mtstream run` makes, one tree seed each.
+    `run_prequential` runs one repetition and does not read `seeds`."""
 
     window: int = 200
     warm_start: int = 200
@@ -91,13 +92,14 @@ def run_prequential(source, tree_config: TreeConfig,
                     dataset: str = "") -> WindowedReport:
     """Drive one tree over one stream under the prequential protocol.
 
-    `seed` overrides the tree seed for this repetition. Window rows flush
-    every `config.window` evaluated examples and once more for a trailing
-    partial window, so the row count is ceil(evaluated / window).
+    The tree's seed is `tree_config.seed`, or `seed` when given;
+    `config.seeds` lists the CLI's repetitions and is not read. Window rows
+    flush every `config.window` evaluated examples and once more for a
+    trailing partial window, so the row count is ceil(evaluated / window).
     """
     config = config or PrequentialConfig()
     if seed is not None:
-        tree_config = TreeConfig(**{**tree_config.__dict__, "seed": seed})
+        tree_config = replace(tree_config, seed=seed)
     tree = MultiTargetHoeffdingTree(source.schema, tree_config)
     d = source.schema.n_targets
 

@@ -200,10 +200,9 @@ _SCORED = {
 }
 
 
-def numeric_schema(n_features: int, n_targets: int,
-                   feature_prefix: str = "x", target_prefix: str = "y") -> StreamSchema:
-    """All-numeric schema with generated names, handy for generators and tests."""
+def numeric_schema(n_features: int, n_targets: int) -> StreamSchema:
+    """All-numeric schema named x1..xm and y1..yd, handy for generators and tests."""
     return StreamSchema(
-        features=tuple(FeatureSpec(f"{feature_prefix}{i + 1}") for i in range(n_features)),
-        targets=tuple(f"{target_prefix}{i + 1}" for i in range(n_targets)),
+        features=tuple(FeatureSpec(f"x{i + 1}") for i in range(n_features)),
+        targets=tuple(f"y{i + 1}" for i in range(n_targets)),
     )

@@ -9,27 +9,12 @@ the top candidates are effectively interchangeable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .observers import SplitSuggestion
 
-
-@dataclass(frozen=True)
-class HoeffdingParams:
-    """delta: confidence level for the bound; tau: tie-break threshold;
-    grace_period: examples a leaf accumulates between split attempts."""
-
-    delta: float = 1e-7
-    tau: float = 0.05
-    grace_period: int = 200
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not self.tau >= 0.0:  # also rejects NaN
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
-        if self.grace_period < 1:
-            raise ValueError(f"grace_period must be >= 1, got {self.grace_period}")
+if TYPE_CHECKING:
+    from .tree import TreeConfig
 
 
 def hoeffding_bound(n: int, delta: float) -> float:
@@ -65,7 +50,7 @@ def decide_split(
     best: SplitSuggestion | None,
     second: SplitSuggestion | None,
     ratio: MeritRatio,
-    params: HoeffdingParams,
+    config: TreeConfig,
     n_seen: int,
 ) -> SplitSuggestion | None:
     """Record one merit-ratio observation and decide whether to split.
@@ -74,7 +59,8 @@ def decide_split(
     negative second-best merit counts as 0 (a lone informative feature can
     still win); a best merit of 0 means there is no variance left to reduce,
     so the attempt is skipped without recording a ratio. The bound is
-    evaluated at the leaf's seen-example count.
+    evaluated at the leaf's seen-example count with `config.delta`; a bound
+    below `config.tau` breaks a tie.
     """
     if best is None or best.merit <= 0.0:
         return None
@@ -82,7 +68,7 @@ def decide_split(
     if second is not None:
         h_sb = max(second.merit, 0.0)
     ratio.observe(h_sb / best.merit)
-    xi = hoeffding_bound(n_seen, params.delta)
-    if ratio.mean + xi < 1.0 or xi < params.tau:
+    xi = hoeffding_bound(n_seen, config.delta)
+    if ratio.mean + xi < 1.0 or xi < config.tau:
         return best
     return None

@@ -18,6 +18,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,8 @@ class DriftSpec:
             raise ConfigError("synchronous drift takes exactly one position")
         if not self.positions:
             raise ConfigError("drift needs at least one position")
+        if not all(isinstance(p, Integral) and not isinstance(p, bool) for p in self.positions):
+            raise ConfigError(f"drift positions must be integers, got {self.positions}")
 
 
 @dataclass(frozen=True)

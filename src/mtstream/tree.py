@@ -26,7 +26,7 @@ import numpy as np
 from .leaf_models import LeafPredictorSet
 from .observers import EBSTObserver, NominalObserver, moment_block
 from .schema import NOMINAL, Instance, Prediction, StreamSchema, Variant
-from .splitting import HoeffdingParams, MeritRatio, decide_split
+from .splitting import MeritRatio, decide_split
 from .stats import RunningStats, VectorStats
 
 SERIAL_FORMAT = "mtstream-tree/1"
@@ -40,7 +40,9 @@ _NAN = math.nan  # a missing value in a leaf's pending feature buffer
 
 @dataclass(frozen=True)
 class TreeConfig:
-    """Tree hyperparameters. Defaults are the benchmark settings: split
+    """Tree hyperparameters: `delta` is the confidence of the split bound,
+    `tau` its tie-break threshold and `grace_period` the examples a leaf
+    learns between split attempts. Defaults are the benchmark settings: split
     attempts every 200 examples, confidence 1e-7, tie-break 0.05, learning
     rate 0.01, weights drawn uniformly from [-1, 1]. Invalid values raise
     ValueError here, not when a tree is built.
@@ -54,15 +56,16 @@ class TreeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.hoeffding_params()
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        if not self.tau >= 0.0:  # also rejects NaN
+            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        if self.grace_period < 1:
+            raise ValueError(f"grace_period must be >= 1, got {self.grace_period}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-    def hoeffding_params(self) -> HoeffdingParams:
-        return HoeffdingParams(delta=self.delta, tau=self.tau,
-                               grace_period=self.grace_period)
 
 
 class SplitNode:
@@ -128,7 +131,6 @@ class MultiTargetHoeffdingTree:
     def __init__(self, schema: StreamSchema, config: TreeConfig | None = None):
         self.schema = schema
         self.config = config or TreeConfig()
-        self.params = self.config.hoeffding_params()
         self.rng = np.random.default_rng(self.config.seed)
         self._numeric = tuple(schema.numeric_indices())
         # only linear leaf models read z-scores; mean leaves skip them
@@ -255,7 +257,7 @@ class MultiTargetHoeffdingTree:
         leaf.examples_seen += 1
         leaf.since_attempt += 1
         self.examples_learned += 1
-        if leaf.since_attempt >= self.params.grace_period:
+        if leaf.since_attempt >= self.config.grace_period:
             leaf.since_attempt = 0
             self.split_attempt_count += 1
             self._attempt_split(leaf, parent, child_index)
@@ -293,7 +295,7 @@ class MultiTargetHoeffdingTree:
         best = per_feature[0]
         second = per_feature[1] if len(per_feature) > 1 else None
 
-        winner = decide_split(best, second, leaf.ratio, self.params,
+        winner = decide_split(best, second, leaf.ratio, self.config,
                               leaf.examples_seen)
         if winner is None:
             return False

@@ -32,6 +32,12 @@ def _csv_entry(csv, schema=_CSV_SCHEMA):
     return lambda doc: {**doc, "datasets": [{"name": "toy", "csv": csv, "schema": schema}]}
 
 
+def _with_generator(doc, **keys):
+    """`doc` with `keys` added to its one dataset's generator spec."""
+    entry = doc["datasets"][0]
+    return {**doc, "datasets": [{**entry, "generator": {**entry["generator"], **keys}}]}
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -187,6 +193,40 @@ class TestRun:
                      "seed must be >= 0, got -1", id="generator_seed_negative"),
         pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"], "seeds": [-1]}},
                      "each >= 0", id="seed_negative"),
+        pytest.param(lambda doc: {**doc, "tree": {"grace_period": 2.5}},
+                     "bad tree section: grace_period: must be an integer, got 2.5",
+                     id="grace_period_fraction"),
+        pytest.param(lambda doc: {**doc, "tree": {"grace_period": True}},
+                     "bad tree section: grace_period: must be an integer, got True",
+                     id="grace_period_bool"),
+        pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"], "window": 2.5}},
+                     "bad evaluation section: window: must be an integer, got 2.5",
+                     id="window_fraction"),
+        pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"], "seeds": [1.7]}},
+                     "bad evaluation section: seeds: must be an integer, got 1.7",
+                     id="seed_fraction"),
+        pytest.param(lambda doc: _with_generator(doc, n_examples=99.9),
+                     "bad generator spec: n_examples: must be an integer, got 99.9",
+                     id="n_examples_fraction"),
+        pytest.param(lambda doc: _with_generator(doc, n_targets=True),
+                     "bad generator spec: n_targets: must be an integer, got True",
+                     id="n_targets_bool"),
+        pytest.param(lambda doc: {**doc, "tree": {"grace_perod": 100}},
+                     "bad tree section: unknown key 'grace_perod'", id="tree_unknown_key"),
+        pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"], "windows": 50}},
+                     "bad evaluation section: unknown key 'windows'",
+                     id="evaluation_unknown_key"),
+        pytest.param(lambda doc: _with_generator(doc, noise=0.5),
+                     "bad generator spec: unknown key 'noise'", id="generator_unknown_key"),
+        pytest.param(lambda doc: _with_generator(doc, drift={"positions": [250], "at": 3}),
+                     "bad generator spec: drift: unknown key 'at'", id="drift_unknown_key"),
+        pytest.param(lambda doc: _with_generator(doc, drift={"positions": [250.5]}),
+                     "bad generator spec: drift: positions: must be an integer, got 250.5",
+                     id="drift_position_fraction"),
+        pytest.param(lambda doc: {**doc, "tree": {"warm_start": 2.5},
+                                  "evaluation": {**doc["evaluation"], "warm_start": 100}},
+                     "bad evaluation section: must be an integer, got 2.5",
+                     id="tree_warm_start_fraction"),
     ])
     def test_malformed_config_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch,
                                                        mutate, message):
@@ -296,6 +336,19 @@ class TestConfigDefaulting:
 
         assert parse_variants(None) == list(Variant)
 
+    def test_integral_floats_are_integers(self):
+        from mtstream.cli import (parse_evaluation_section, parse_generator_spec,
+                                  parse_tree_section)
+        from mtstream.schema import Variant
+
+        tree = parse_tree_section({"grace_period": 1e2}, Variant.MEAN, seed=0)
+        assert tree.grace_period == 100 and type(tree.grace_period) is int
+        evaluation = parse_evaluation_section({"window": 5e1, "seeds": [3.0]}, {}, base_seed=0)
+        assert (evaluation.window, evaluation.seeds) == (50, (3,))
+        spec = parse_generator_spec({"family": "friedman_mt", "n_examples": 1e4,
+                                     "drift": {"positions": [5e3]}})
+        assert spec.n_examples == 10_000 and spec.drift.positions == (5000,)
+
 
 class TestCompare:
     def test_compare_over_generated_reports(self, tmp_path):
@@ -391,6 +444,29 @@ class TestGenerate:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "seed must be >= 0, got -1" in err
+        assert "Traceback" not in err
+
+    def test_flat_form_reads_name_and_output_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"name": "flat", "output_dir": "streams",
+                                    "family": "plane_mt", "n_examples": 20, "seed": 3}))
+        assert main(["generate", "--config", str(path)]) == 0
+        assert len((tmp_path / "streams" / "flat.csv").read_text().splitlines()) == 21
+
+    @pytest.mark.parametrize("generator, message", [
+        ({"family": "friedman_mt", "n_examples": 500, "drift": {"positions": [250.5]}},
+         "drift: positions: must be an integer, got 250.5"),
+        ({"family": "plane_mt", "noise": 0.5}, "unknown key 'noise'"),
+    ], ids=["drift_position_fraction", "unknown_key"])
+    def test_bad_spec_exits_2_before_writing(self, tmp_path, capsys, generator, message):
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"name": "g", "generator": generator}))
+        out = tmp_path / "streams"
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad generator spec: ") and message in err
         assert "Traceback" not in err
 
     def test_unwritable_path_exits_1(self, tmp_path):

@@ -3,7 +3,8 @@ import math
 import pytest
 
 from mtstream.observers import SplitSuggestion
-from mtstream.splitting import HoeffdingParams, MeritRatio, decide_split, hoeffding_bound
+from mtstream.splitting import MeritRatio, decide_split, hoeffding_bound
+from mtstream.tree import TreeConfig
 
 
 def suggestion(merit, feature=0, threshold=0.5):
@@ -32,71 +33,57 @@ class TestHoeffdingBound:
             hoeffding_bound(0, 1e-7)
 
 
-class TestHoeffdingParams:
-    def test_defaults_are_benchmark_settings(self):
-        p = HoeffdingParams()
-        assert (p.delta, p.tau, p.grace_period) == (1e-7, 0.05, 200)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"delta": 0.0}, {"delta": 1.0}, {"tau": -0.1}, {"grace_period": 0},
-        {"tau": float("nan")},
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            HoeffdingParams(**kwargs)
-
-
 class TestDecideSplit:
     def test_confident_gap_splits(self):
         # ratio observation 0.5; n chosen so that xi ~ 0.3 and 0.8 < 1
-        params = HoeffdingParams()
-        n = math.ceil(math.log(2 / params.delta) / (2 * 0.3 ** 2))
+        config = TreeConfig()
+        n = math.ceil(math.log(2 / config.delta) / (2 * 0.3 ** 2))
         ratio = MeritRatio()
-        winner = decide_split(suggestion(1.0), suggestion(0.5, feature=1), ratio, params, n)
+        winner = decide_split(suggestion(1.0), suggestion(0.5, feature=1), ratio, config, n)
         assert winner is not None and winner.feature == 0
         assert ratio.mean == pytest.approx(0.5)
 
     def test_tie_break_forces_split(self):
         # near-equal merits keep the ratio at ~1, but xi < tau unlocks the split
-        params = HoeffdingParams()
-        n = math.ceil(math.log(2 / params.delta) / (2 * params.tau ** 2))
-        assert hoeffding_bound(n, params.delta) < params.tau
+        config = TreeConfig()
+        n = math.ceil(math.log(2 / config.delta) / (2 * config.tau ** 2))
+        assert hoeffding_bound(n, config.delta) < config.tau
         ratio = MeritRatio()
-        winner = decide_split(suggestion(1.0), suggestion(0.999, feature=1), ratio, params, n)
+        winner = decide_split(suggestion(1.0), suggestion(0.999, feature=1), ratio, config, n)
         assert winner is not None
 
     def test_zero_merit_keeps_waiting_without_ratio_update(self):
         ratio = MeritRatio()
         assert decide_split(suggestion(0.0), suggestion(0.0, feature=1), ratio,
-                            HoeffdingParams(), 10_000) is None
+                            TreeConfig(), 10_000) is None
         assert ratio.n_ratio == 0
 
     def test_missing_second_counts_as_zero_ratio(self):
-        params = HoeffdingParams()
+        config = TreeConfig()
         ratio = MeritRatio()
-        n = math.ceil(math.log(2 / params.delta) / 2) + 1  # xi < 1
-        winner = decide_split(suggestion(2.0), None, ratio, params, n)
+        n = math.ceil(math.log(2 / config.delta) / 2) + 1  # xi < 1
+        winner = decide_split(suggestion(2.0), None, ratio, config, n)
         assert winner is not None
         assert ratio.mean == 0.0
 
     def test_negative_second_merit_clamps_to_zero(self):
         ratio = MeritRatio()
         decide_split(suggestion(1.0), suggestion(-0.5, feature=1), ratio,
-                     HoeffdingParams(), 5)
+                     TreeConfig(), 5)
         assert ratio.mean == 0.0
 
     def test_uncertain_leaf_keeps_waiting(self):
         # two equally good features, few examples: no split either way
         ratio = MeritRatio()
         winner = decide_split(suggestion(1.0), suggestion(0.98, feature=1), ratio,
-                              HoeffdingParams(), 5)
+                              TreeConfig(), 5)
         assert winner is None
 
     def test_running_mean_accumulates(self):
-        params = HoeffdingParams()
+        config = TreeConfig()
         ratio = MeritRatio()
-        decide_split(suggestion(1.0), suggestion(0.8, feature=1), ratio, params, 5)
-        decide_split(suggestion(1.0), suggestion(0.4, feature=1), ratio, params, 5)
+        decide_split(suggestion(1.0), suggestion(0.8, feature=1), ratio, config, 5)
+        decide_split(suggestion(1.0), suggestion(0.4, feature=1), ratio, config, 5)
         assert ratio.n_ratio == 2
         assert ratio.mean == pytest.approx(0.6)
 

@@ -122,6 +122,12 @@ class TestFriedmanGenerator:
             GeneratorSpec(family="plane_mt", n_examples=100,
                           drift=DriftSpec(positions=(50,)))
 
+    @pytest.mark.parametrize("position", [250.5, 250.0, True, "250"])
+    def test_drift_positions_must_be_integers(self, position):
+        # a non-integer position would reach a slice index during generation
+        with pytest.raises(ConfigError, match="drift positions must be integers"):
+            DriftSpec(positions=(position,))
+
 
 class TestPlaneGenerator:
     def test_hand_values(self):

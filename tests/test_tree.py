@@ -54,6 +54,18 @@ def grown_tree(instances, schema, variant=Variant.MEAN, **kwargs):
 
 
 class TestTreeConfig:
+    def test_defaults_are_benchmark_settings(self):
+        p = TreeConfig()
+        assert (p.delta, p.tau, p.grace_period) == (1e-7, 0.05, 200)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"delta": 0.0}, {"delta": 1.0}, {"tau": -0.1}, {"grace_period": 0},
+        {"tau": float("nan")},
+    ])
+    def test_validation(self, kwargs):
+        with pytest.raises(ValueError):
+            TreeConfig(**kwargs)
+
     def test_negative_seed_is_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             TreeConfig(seed=-1)
