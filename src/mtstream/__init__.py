@@ -11,7 +11,6 @@ from .evaluation import (
     ComparisonResult,
     EvaluationError,
     PrequentialConfig,
-    RankTable,
     WindowedReport,
     armse,
     friedman_nemenyi,
@@ -60,7 +59,6 @@ __all__ = [
     "NominalObserver",
     "Prediction",
     "PrequentialConfig",
-    "RankTable",
     "RunningStats",
     "SchemaError",
     "SplitSuggestion",

@@ -26,7 +26,6 @@ from pathlib import Path
 from .evaluation import (
     EvaluationError,
     PrequentialConfig,
-    RankTable,
     WindowedReport,
     friedman_nemenyi,
     read_report_csv,
@@ -80,11 +79,22 @@ def _expect(value, kind: type | tuple, what: str):
     return value
 
 
+def _float(value) -> float:
+    """float(value) for a JSON number, refusing the booleans and numeric
+    strings that float() would silently accept."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
 def _int(value) -> int:
-    """int(value), refusing what int() would silently truncate: booleans and
-    non-integral numbers. Integral floats such as 1e4 pass."""
+    """int(value) for a JSON number, refusing what int() would silently
+    accept or truncate: booleans, numeric strings and non-integral numbers.
+    Integral floats such as 1e4 pass."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"must be an integer, got {value!r}")
+    if not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {value!r}")
     return int(value)
 
 
@@ -112,9 +122,9 @@ def _drift(doc) -> DriftSpec | None:
 
 
 _GENERATOR_SETTINGS = {
-    "family": str, "n_examples": _int, "n_targets": _int, "noise_sd": float, "seed": _int,
+    "family": str, "n_examples": _int, "n_targets": _int, "noise_sd": _float, "seed": _int,
     "drift": _drift,
-    "target_affine": lambda pairs: (tuple((float(a), float(b)) for a, b in pairs)
+    "target_affine": lambda pairs: (tuple((_float(a), _float(b)) for a, b in pairs)
                                     if pairs else None),
 }
 
@@ -138,14 +148,17 @@ def parse_variants(names) -> list[Variant]:
     out = []
     for name in names:
         try:
-            out.append(Variant(name))
+            variant = Variant(name)
         except ValueError:
             valid = ", ".join(v.value for v in Variant)
             raise UsageError(f"unknown variant {name!r}; choose from: {valid}")
+        if variant in out:
+            raise UsageError(f"variant {name!r} is listed twice")
+        out.append(variant)
     return out
 
 
-_TREE_SETTINGS = {"delta": float, "tau": float, "grace_period": _int, "learning_rate": float}
+_TREE_SETTINGS = {"delta": _float, "tau": _float, "grace_period": _int, "learning_rate": _float}
 
 
 def parse_tree_section(doc: dict, variant: Variant, seed: int) -> TreeConfig:
@@ -191,10 +204,19 @@ def _dataset_entries(doc: dict) -> list[dict]:
     datasets = _expect(doc.get("datasets", []), list, "datasets")
     if not datasets:
         raise UsageError("run config needs a non-empty 'datasets' list")
+    names = set()
     for i, entry in enumerate(datasets):
         _expect(entry, dict, f"datasets[{i}]")
         if "name" not in entry:
             raise UsageError(f"datasets[{i}] needs a 'name'")
+        # the name heads the cell's report file name inside the output directory
+        name = entry["name"]
+        if not isinstance(name, str) or Path(name).name != name or name in ("", ".", ".."):
+            raise UsageError(f"datasets[{i}].name must be a file name without a "
+                             f"directory part, got {name!r}")
+        if name in names:
+            raise UsageError(f"datasets[{i}].name {name!r} is used by an earlier dataset")
+        names.add(name)
         if ("generator" in entry) == ("csv" in entry):
             raise UsageError(f"datasets[{i}] needs exactly one of 'generator' or 'csv'")
         if "csv" in entry and "schema" not in entry:
@@ -341,8 +363,7 @@ def _comparison_from_curves(curves: dict):
             [curves[(d, v)][w] for v in variants]
             for w in range(n_windows)
         ]
-    table = RankTable.from_scores(variants, matrix, lower_is_better=True)
-    return friedman_nemenyi(table)
+    return friedman_nemenyi(variants, matrix)
 
 
 def _write_summary(reports: list[WindowedReport], out_dir: Path) -> None:
@@ -416,14 +437,8 @@ def cmd_compare(args) -> int:
         m = REPORT_NAME_RE.match(path.name)
         if m is None:
             continue
-        rows = read_report_csv(path)
-        report = WindowedReport(dataset=m.group("dataset"), variant=m.group("variant"),
-                                seed=int(m.group("seed")), window=0, warm_start=0,
-                                rows=rows)
-        report.cum_armse = rows[-1].cum_armse if rows else 0.0
-        report.elapsed_s = rows[-1].elapsed_s if rows else 0.0
-        report.final_model_bytes = rows[-1].model_bytes if rows else 0
-        reports.append(report)
+        reports.append(WindowedReport(m.group("dataset"), m.group("variant"),
+                                      int(m.group("seed")), rows=read_report_csv(path)))
     if not reports:
         raise UsageError(f"no report files matching NAME__VARIANT__seedN.csv in {report_dir}")
     variants = {r.variant for r in reports}

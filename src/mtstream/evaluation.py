@@ -5,7 +5,8 @@ The first `warm_start` examples only train the tree; every later example is
 predicted first and then learned. Errors are aggregated per non-overlapping
 window and cumulatively; the clock (a monotonic counter) runs around predict
 and learn calls only, so stream generation and file I/O never pollute the
-timing.
+timing. A run's window rows are its only record: its final error, time and
+size are those of its last row.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -35,7 +36,7 @@ def armse(sq_error_sums, count: int) -> float:
 @dataclass(frozen=True)
 class PrequentialConfig:
     """window: examples per error window; warm_start: train-only prefix;
-    seeds: the repetitions `mtstream run` makes, one tree seed each.
+    seeds: the repetitions `mtstream run` makes, one distinct tree seed each.
     `run_prequential` runs one repetition and does not read `seeds`."""
 
     window: int = 200
@@ -49,6 +50,8 @@ class PrequentialConfig:
             raise EvaluationError("warm_start must be >= 0")
         if not self.seeds or min(self.seeds) < 0:
             raise EvaluationError(f"at least one seed is required, each >= 0: {self.seeds}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise EvaluationError(f"seeds must be unique: {self.seeds}")
 
     @property
     def repetitions(self) -> int:
@@ -67,19 +70,28 @@ class WindowRow:
 @dataclass
 class WindowedReport:
     """One run's record: per-window and cumulative error, cumulative model
-    time, and size samples at window boundaries."""
+    time, and size samples at window boundaries. The run's final values are
+    those of its last row; a run without rows (its stream ended inside the
+    warm start) reads 0 for each."""
 
     dataset: str
     variant: str
     seed: int
-    window: int
-    warm_start: int
     rows: list[WindowRow] = field(default_factory=list)
     examples_evaluated: int = 0
-    cum_armse: float = math.nan
-    elapsed_s: float = 0.0
-    final_model_bytes: int = 0
     rejected: int = 0
+
+    @property
+    def cum_armse(self) -> float:
+        return self.rows[-1].cum_armse if self.rows else 0.0
+
+    @property
+    def elapsed_s(self) -> float:
+        return self.rows[-1].elapsed_s if self.rows else 0.0
+
+    @property
+    def final_model_bytes(self) -> int:
+        return self.rows[-1].model_bytes if self.rows else 0
 
     @property
     def summed_window_error(self) -> float:
@@ -96,6 +108,8 @@ def run_prequential(source, tree_config: TreeConfig,
     `config.seeds` lists the CLI's repetitions and is not read. Window rows
     flush every `config.window` evaluated examples and once more for a
     trailing partial window, so the row count is ceil(evaluated / window).
+    A stream that ends inside the warm start is a valid run without rows; a
+    stream without any example raises `EvaluationError`.
     """
     config = config or PrequentialConfig()
     if seed is not None:
@@ -104,8 +118,7 @@ def run_prequential(source, tree_config: TreeConfig,
     d = source.schema.n_targets
 
     report = WindowedReport(dataset=dataset, variant=tree_config.variant.value,
-                            seed=tree_config.seed, window=config.window,
-                            warm_start=config.warm_start)
+                            seed=tree_config.seed)
     elapsed = 0.0
     cum_sq = [0.0] * d
     win_sq = [0.0] * d
@@ -127,21 +140,16 @@ def run_prequential(source, tree_config: TreeConfig,
         in_window = 0
         win_sq = [0.0] * d
 
-    stream = iter(source)
-    warmed = 0
-    for _ in range(config.warm_start):
-        inst = next(stream, None)
-        if inst is None:
-            break
-        t0 = clock()
-        tree.learn(inst)
-        elapsed += clock() - t0
-        warmed += 1
-
+    warm_start = config.warm_start
     targets_range = range(d)
     isfinite = math.isfinite
-    for index, inst in enumerate(stream, start=warmed):
+    index = -1
+    for index, inst in enumerate(source):
         t0 = clock()
+        if index < warm_start:
+            tree.learn(inst)
+            elapsed += clock() - t0
+            continue
         prediction = tree.predict_then_learn(inst)
         elapsed += clock() - t0
         y = inst.targets
@@ -165,30 +173,26 @@ def run_prequential(source, tree_config: TreeConfig,
         if in_window == config.window:
             flush()
 
+    if index < 0:
+        raise EvaluationError("stream was empty")
     if in_window > 0:
         flush()
-    if warmed + evaluated == 0:
-        raise EvaluationError("stream was empty")
 
     report.examples_evaluated = evaluated
-    # a stream that ends exactly at the warm start is a valid zero-window run
-    report.cum_armse = armse(cum_sq, evaluated) if evaluated else 0.0
-    report.elapsed_s = elapsed
-    report.final_model_bytes = tree.model_size_bytes()
     report.rejected = tree.rejected_count
     return report
 
 
-REPORT_COLUMNS = ("window_index", "armse", "cum_armse", "elapsed_s", "model_bytes")
+REPORT_COLUMNS = tuple(f.name for f in fields(WindowRow))
 
 
 def write_report_csv(report: WindowedReport, path) -> None:
+    """One line per window row; `csv` writes a float as its shortest exact
+    repr, so `read_report_csv` gives the rows back bit for bit."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
-        for row in report.rows:
-            writer.writerow([row.window_index, repr(row.armse), repr(row.cum_armse),
-                             repr(row.elapsed_s), row.model_bytes])
+        writer.writerows(map(astuple, report.rows))
 
 
 def read_report_csv(path) -> list[WindowRow]:
@@ -241,35 +245,6 @@ def average_ranks(scores: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class RankTable:
-    """Per-block ranks of k algorithms (rank 1 = best); ties get average
-    ranks, so every row sums to k(k+1)/2."""
-
-    algorithms: tuple[str, ...]
-    ranks: np.ndarray  # shape (n_blocks, k)
-
-    @classmethod
-    def from_scores(cls, algorithms, scores, lower_is_better: bool = True) -> "RankTable":
-        """Rank a blocks x algorithms score matrix within each block."""
-        scores = np.asarray(scores, dtype=float)
-        if scores.ndim != 2 or scores.shape[1] != len(algorithms):
-            raise EvaluationError("scores must be a blocks x algorithms matrix")
-        signed = scores if lower_is_better else -scores
-        return cls(algorithms=tuple(algorithms), ranks=average_ranks(signed))
-
-    @property
-    def n_blocks(self) -> int:
-        return self.ranks.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.ranks.shape[1]
-
-    def average_ranks(self) -> np.ndarray:
-        return self.ranks.mean(axis=0)
-
-
-@dataclass
 class ComparisonResult:
     algorithms: tuple[str, ...]
     average_ranks: tuple[float, ...]
@@ -281,16 +256,21 @@ class ComparisonResult:
     groups: tuple[tuple[str, ...], ...]
 
 
-def friedman_nemenyi(table: RankTable) -> ComparisonResult:
-    """Friedman test over average ranks with the F-distribution refinement,
-    plus the Nemenyi critical difference q_alpha * sqrt(k(k+1)/(6N)), both at
+def friedman_nemenyi(algorithms, scores) -> ComparisonResult:
+    """Rank a blocks x algorithms score matrix within each block (the lowest
+    score ranks 1; ties share their average rank), then run the Friedman
+    test over the average ranks with the F-distribution refinement, plus the
+    Nemenyi critical difference q_alpha * sqrt(k(k+1)/(6N)), both at
     `ALPHA` = 0.05.
 
     Algorithms whose average ranks differ by less than the CD are grouped as
     statistically indistinguishable.
     """
-    k = table.k
-    n = table.n_blocks
+    algorithms = tuple(algorithms)
+    scores = np.asarray(scores, dtype=float)
+    if scores.ndim != 2 or scores.shape[1] != len(algorithms):
+        raise EvaluationError("scores must be a blocks x algorithms matrix")
+    n, k = scores.shape
     if k < 2:
         raise EvaluationError("comparison needs at least two algorithms")
     if n < 2:
@@ -298,7 +278,7 @@ def friedman_nemenyi(table: RankTable) -> ComparisonResult:
     if k not in NEMENYI_Q_05:
         raise EvaluationError(f"no tabulated critical value for k={k}")
 
-    avg = table.average_ranks()
+    avg = average_ranks(scores).mean(axis=0)
     chi2 = (12.0 * n / (k * (k + 1))) * (float(np.sum(avg ** 2)) - k * (k + 1) ** 2 / 4.0)
     chi2 = max(chi2, 0.0)
     denom = n * (k - 1) - chi2
@@ -314,29 +294,30 @@ def friedman_nemenyi(table: RankTable) -> ComparisonResult:
 
     cd = NEMENYI_Q_05[k] * math.sqrt(k * (k + 1) / (6.0 * n))
 
-    # maximal runs of rank-adjacent algorithms whose spread stays inside the CD
+    # maximal runs of rank-adjacent algorithms whose spread stays inside the
+    # CD: the sorted ranks never decrease, so neither do the ends of the runs
+    # that start at each algorithm, and a run is maximal exactly when it ends
+    # later than the run before it
     order = np.argsort(avg, kind="stable")
-    names = [table.algorithms[i] for i in order]
+    names = [algorithms[i] for i in order]
     sorted_ranks = [float(avg[i]) for i in order]
-    intervals = []
+    groups = []
+    prev_end = -1
     for i in range(k):
-        j = i
-        while j + 1 < k and sorted_ranks[j + 1] - sorted_ranks[i] < cd:
-            j += 1
-        intervals.append((i, j))
-    maximal = [(i, j) for (i, j) in intervals
-               if not any(a <= i and j <= b and (a, b) != (i, j) for a, b in intervals)]
-    unique_groups = []
-    for i, j in dict.fromkeys(maximal):
-        unique_groups.append(tuple(names[i:j + 1]))
+        end = i
+        while end + 1 < k and sorted_ranks[end + 1] - sorted_ranks[i] < cd:
+            end += 1
+        if end > prev_end:
+            groups.append(tuple(names[i:end + 1]))
+        prev_end = end
 
     return ComparisonResult(
-        algorithms=table.algorithms,
+        algorithms=algorithms,
         average_ranks=tuple(float(r) for r in avg),
         chi2=chi2,
         f_stat=f_stat,
         p_value=p_value,
         reject=reject,
         critical_difference=cd,
-        groups=tuple(unique_groups),
+        groups=tuple(groups),
     )

@@ -59,13 +59,12 @@ class LeafPredictorSet:
     `selectable` set, breaking fMAE ties toward the cheaper model.
     """
 
-    __slots__ = ("variant", "n_features", "n_targets", "base", "meta",
-                 "fmae", "learning_rate", "train_inputs")
+    __slots__ = ("variant", "n_targets", "base", "meta", "fmae", "learning_rate",
+                 "train_inputs")
 
     def __init__(self, variant: Variant, n_features: int, n_targets: int,
                  learning_rate: float, rng: np.random.Generator):
         self.variant = variant
-        self.n_features = n_features
         self.n_targets = n_targets
         self.learning_rate = learning_rate
         self.base = rng.uniform(-1.0, 1.0, size=(n_targets, n_features + 1)) \
@@ -83,7 +82,6 @@ class LeafPredictorSet:
         inherited from this (parent) leaf, faded errors start over."""
         child = LeafPredictorSet.__new__(LeafPredictorSet)
         child.variant = self.variant
-        child.n_features = self.n_features
         child.n_targets = self.n_targets
         child.learning_rate = self.learning_rate
         child.base = self.base.copy() if self.base is not None else None

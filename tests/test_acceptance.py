@@ -15,7 +15,6 @@ from mtstream import (
     GeneratorSpec,
     Instance,
     PrequentialConfig,
-    RankTable,
     TreeConfig,
     Variant,
     friedman_nemenyi,
@@ -256,10 +255,9 @@ def test_criterion_07_selection_matches_faded_error_argmin():
 # -- 8: critical-difference reproduction ---------------------------------------
 
 def test_criterion_08_nemenyi_critical_difference():
-    table = RankTable.from_scores(
+    result = friedman_nemenyi(
         [f"algo{i}" for i in range(5)],
         np.random.default_rng(8).random((16, 5)))
-    result = friedman_nemenyi(table)
     assert 1.51 <= result.critical_difference <= 1.53
     report(8, f"k=5, N=16, alpha=0.05 -> CD = {result.critical_difference:.4f} "
               "in [1.51, 1.53]")

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from mtstream.cli import main
-from mtstream.evaluation import friedman_nemenyi, RankTable
+from mtstream.evaluation import friedman_nemenyi
 
 
 def run_config(tmp_path, n=500, variants=("mean",), seeds=(0,), name="toy",
@@ -36,6 +36,10 @@ def _with_generator(doc, **keys):
     """`doc` with `keys` added to its one dataset's generator spec."""
     entry = doc["datasets"][0]
     return {**doc, "datasets": [{**entry, "generator": {**entry["generator"], **keys}}]}
+
+
+def _named(name):
+    return lambda doc: {**doc, "datasets": [{**doc["datasets"][0], "name": name}]}
 
 
 def read_rows(path):
@@ -227,6 +231,48 @@ class TestRun:
                                   "evaluation": {**doc["evaluation"], "warm_start": 100}},
                      "bad evaluation section: must be an integer, got 2.5",
                      id="tree_warm_start_fraction"),
+        pytest.param(lambda doc: {**doc, "datasets": [
+            {"name": "f", "generator": {"family": "friedman_mt", "n_examples": 500}},
+            {"name": "f", "generator": {"family": "plane_mt", "n_examples": 500}}]},
+                     "datasets[1].name 'f' is used by an earlier dataset",
+                     id="dataset_name_repeated"),
+        pytest.param(lambda doc: {**doc, "variants": ["mean", "mean", "stacked"]},
+                     "variant 'mean' is listed twice", id="variant_repeated"),
+        pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"], "seeds": [0, 0]}},
+                     "bad evaluation section: seeds must be unique: (0, 0)",
+                     id="seed_repeated"),
+        pytest.param(_named("../escaped"), "datasets[0].name must be a file name without "
+                     "a directory part, got '../escaped'", id="dataset_name_parent"),
+        pytest.param(_named("sub/f"), "got 'sub/f'", id="dataset_name_subdir"),
+        pytest.param(_named(None), "got None", id="dataset_name_null"),
+        pytest.param(_named(""), "got ''", id="dataset_name_empty"),
+        pytest.param(_named(".."), "got '..'", id="dataset_name_dotdot"),
+        pytest.param(lambda doc: {**doc, "tree": {"tau": True}},
+                     "bad tree section: tau: must be a number, got True", id="tau_bool"),
+        pytest.param(lambda doc: {**doc, "tree": {"delta": "1e-7"}},
+                     "bad tree section: delta: must be a number, got '1e-7'",
+                     id="delta_string"),
+        pytest.param(lambda doc: {**doc, "tree": {"learning_rate": "0.01"}},
+                     "bad tree section: learning_rate: must be a number, got '0.01'",
+                     id="learning_rate_string"),
+        pytest.param(lambda doc: {**doc, "tree": {"grace_period": "200"}},
+                     "bad tree section: grace_period: must be a number, got '200'",
+                     id="grace_period_string"),
+        pytest.param(lambda doc: _with_generator(doc, noise_sd="2"),
+                     "bad generator spec: noise_sd: must be a number, got '2'",
+                     id="noise_sd_string"),
+        pytest.param(lambda doc: _with_generator(doc, n_examples="500"),
+                     "bad generator spec: n_examples: must be a number, got '500'",
+                     id="n_examples_string"),
+        pytest.param(lambda doc: _with_generator(doc, target_affine=[[True, "1"], [1, 2]]),
+                     "bad generator spec: target_affine: must be a number, got True",
+                     id="target_affine_bool"),
+        pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"], "window": "50"}},
+                     "bad evaluation section: window: must be a number, got '50'",
+                     id="window_string"),
+        pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"], "seeds": ["3"]}},
+                     "bad evaluation section: seeds: must be a number, got '3'",
+                     id="seed_string"),
     ])
     def test_malformed_config_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch,
                                                        mutate, message):
@@ -361,6 +407,23 @@ class TestCompare:
         text = (out / "comparison.txt").read_text()
         assert "critical difference" in text
 
+    @pytest.mark.parametrize("n", [450, 200], ids=["windows", "zero_windows"])
+    def test_compare_rebuilds_the_summary_files_of_run(self, tmp_path, n):
+        """2 datasets x 2 variants x 2 seeds; with n equal to the warm start
+        every run ends inside it and has no window row."""
+        cfg = run_config(tmp_path, n=n, variants=("mean", "stacked"), seeds=(0, 1),
+                         window=100, warm_start=200)
+        doc = json.loads(cfg.read_text())
+        plane = {"name": "plane", "generator": {
+            "family": "plane_mt", "n_examples": n, "n_targets": 2, "seed": 3}}
+        cfg.write_text(json.dumps({**doc, "datasets": doc["datasets"] + [plane]}))
+        ran, compared = tmp_path / "ran", tmp_path / "compared"
+        assert main(["run", "--config", str(cfg), "--out", str(ran), "--jobs", "1"]) == 0
+        assert len(list(ran.glob("*__*__seed*.csv"))) == 8
+        assert main(["compare", str(ran), "--out", str(compared)]) == 0
+        for name in ("summary.csv", "comparison.csv", "comparison.txt"):
+            assert (compared / name).read_bytes() == (ran / name).read_bytes(), name
+
     def test_single_algorithm_exits_2(self, tmp_path):
         cfg = run_config(tmp_path, n=450, variants=("mean",))
         out = tmp_path / "out"
@@ -398,9 +461,8 @@ class TestCompare:
         rows = read_rows(out / "comparison.csv")
         cd = float(rows[0]["critical_difference"])
         assert 1.51 <= cd <= 1.53
-        table = RankTable.from_scores(["a", "b", "c", "d", "e"],
-                                      rng.random((16, 5)))
-        assert cd == pytest.approx(friedman_nemenyi(table).critical_difference)
+        result = friedman_nemenyi(["a", "b", "c", "d", "e"], rng.random((16, 5)))
+        assert cd == pytest.approx(result.critical_difference)
 
 
 class TestGenerate:

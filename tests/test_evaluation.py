@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtstream.evaluation import (
+    ComparisonResult,
     EvaluationError,
     PrequentialConfig,
-    RankTable,
     armse,
+    average_ranks,
     friedman_nemenyi,
     read_report_csv,
     run_prequential,
@@ -189,13 +190,12 @@ class TestRunPrequential:
         assert rows == report.rows
 
 
-class TestRankTable:
+class TestAverageRanks:
     def test_ranks_are_permutations_with_ties(self):
-        table = RankTable.from_scores(["a", "b", "c"],
-                                      [[1.0, 2.0, 3.0], [2.0, 2.0, 5.0]])
-        np.testing.assert_array_equal(table.ranks[0], [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(table.ranks[1], [1.5, 1.5, 3.0])
-        assert table.ranks.sum(axis=1).tolist() == [6.0, 6.0]
+        ranks = average_ranks(np.array([[1.0, 2.0, 3.0], [2.0, 2.0, 5.0]]))
+        np.testing.assert_array_equal(ranks[0], [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(ranks[1], [1.5, 1.5, 3.0])
+        assert ranks.sum(axis=1).tolist() == [6.0, 6.0]
 
     @settings(max_examples=100, deadline=None)
     @given(rows=st.integers(1, 6).flatmap(lambda k: st.lists(
@@ -204,43 +204,53 @@ class TestRankTable:
     def test_ranks_equal_scipy_rankdata(self, rows):
         from scipy.stats import rankdata
 
-        table = RankTable.from_scores([f"a{i}" for i in range(len(rows[0]))], rows)
+        ranks = average_ranks(np.array(rows))
         expected = np.vstack([rankdata(row, method="average") for row in rows])
-        np.testing.assert_array_equal(table.ranks, expected)
+        np.testing.assert_array_equal(ranks, expected)
 
-    def test_higher_is_better_flips_order(self):
-        table = RankTable.from_scores(["a", "b"], [[0.9, 0.1]], lower_is_better=False)
-        np.testing.assert_array_equal(table.ranks[0], [1.0, 2.0])
+
+def containment_groups(result: ComparisonResult) -> tuple:
+    """Reference grouping: the run of rank-sorted algorithms within the CD
+    that starts at each algorithm, kept when no other run contains it."""
+    k = len(result.algorithms)
+    order = np.argsort(result.average_ranks, kind="stable")
+    names = [result.algorithms[i] for i in order]
+    sorted_ranks = [result.average_ranks[i] for i in order]
+    intervals = []
+    for i in range(k):
+        j = i
+        while j + 1 < k and sorted_ranks[j + 1] - sorted_ranks[i] < result.critical_difference:
+            j += 1
+        intervals.append((i, j))
+    maximal = [(i, j) for (i, j) in intervals
+               if not any(a <= i and j <= b and (a, b) != (i, j) for a, b in intervals)]
+    return tuple(tuple(names[i:j + 1]) for i, j in dict.fromkeys(maximal))
 
 
 class TestFriedmanNemenyi:
     def test_identical_ranks_never_reject(self):
-        table = RankTable.from_scores(["a", "b", "c"], [[1.0, 1.0, 1.0]] * 10)
-        result = friedman_nemenyi(table)
+        result = friedman_nemenyi(["a", "b", "c"], [[1.0, 1.0, 1.0]] * 10)
         assert result.chi2 == pytest.approx(0.0)
         assert not result.reject
         assert len(result.groups) == 1
 
     def test_reference_critical_difference(self):
         rng = np.random.default_rng(0)
-        table = RankTable.from_scores([f"a{i}" for i in range(5)],
-                                      rng.random((16, 5)))
-        result = friedman_nemenyi(table)
+        result = friedman_nemenyi([f"a{i}" for i in range(5)], rng.random((16, 5)))
         assert 1.51 <= result.critical_difference <= 1.53
 
     def test_hand_built_table_matches_direct_formula(self):
-        # 4 blocks x 3 algorithms with fixed ranks
+        # 4 blocks x 3 algorithms with fixed ranks, which ranking leaves as they are
         ranks = np.array([
             [1.0, 2.0, 3.0],
             [1.0, 3.0, 2.0],
             [1.0, 2.0, 3.0],
             [2.0, 1.0, 3.0],
         ])
-        table = RankTable(algorithms=("a", "b", "c"), ranks=ranks)
         n, k = 4, 3
         avg = ranks.mean(axis=0)
         chi2 = 12 * n / (k * (k + 1)) * (float(np.sum(avg ** 2)) - k * (k + 1) ** 2 / 4)
-        result = friedman_nemenyi(table)
+        result = friedman_nemenyi(("a", "b", "c"), ranks)
         assert result.chi2 == pytest.approx(chi2)
         assert result.f_stat == pytest.approx((n - 1) * chi2 / (n * (k - 1) - chi2))
         assert result.average_ranks == pytest.approx(tuple(avg))
@@ -258,30 +268,38 @@ class TestFriedmanNemenyi:
             [1.0, 2.0, 3.0],
             [2.0, 1.0, 3.0],
         ])
-        result = friedman_nemenyi(RankTable(algorithms=("a", "b", "c"), ranks=ranks))
+        result = friedman_nemenyi(("a", "b", "c"), ranks)
         assert result.chi2 == pytest.approx(float(chi2), abs=1e-12)
 
     def test_total_agreement_rejects(self):
-        table = RankTable.from_scores(["a", "b", "c"],
-                                      [[1.0, 2.0, 3.0]] * 12)
-        result = friedman_nemenyi(table)
+        result = friedman_nemenyi(["a", "b", "c"], [[1.0, 2.0, 3.0]] * 12)
         assert result.reject
         assert result.f_stat == math.inf
 
     def test_groups_follow_the_critical_difference(self):
         ranks = np.tile(np.array([[1.0, 2.0, 3.0, 4.0, 5.0]]), (16, 1))
         jitter = np.random.default_rng(1).normal(0, 0.01, size=(16, 5))
-        table = RankTable.from_scores(["v1", "v2", "v3", "v4", "v5"], ranks + jitter)
-        result = friedman_nemenyi(table)
+        algorithms = ("v1", "v2", "v3", "v4", "v5")
+        result = friedman_nemenyi(algorithms, ranks + jitter)
         cd = result.critical_difference
         for group in result.groups:
-            idx = [table.algorithms.index(g) for g in group]
+            idx = [algorithms.index(g) for g in group]
             spread = max(result.average_ranks[i] for i in idx) \
                 - min(result.average_ranks[i] for i in idx)
             assert spread < cd
 
+    @settings(max_examples=200, deadline=None)
+    @given(scores=st.integers(2, 10).flatmap(lambda k: st.lists(
+        st.lists(st.integers(0, 3).map(float), min_size=k, max_size=k),
+        min_size=2, max_size=12)))
+    def test_groups_are_the_maximal_runs_within_the_cd(self, scores):
+        """Few distinct scores, so ties within blocks and equal average ranks
+        are common; the one-pass groups equal the containment search's."""
+        result = friedman_nemenyi([f"a{i}" for i in range(len(scores[0]))], scores)
+        assert result.groups == containment_groups(result)
+
     def test_too_few_blocks_or_algorithms(self):
         with pytest.raises(EvaluationError):
-            friedman_nemenyi(RankTable(algorithms=("a",), ranks=np.ones((3, 1))))
+            friedman_nemenyi(("a",), np.ones((3, 1)))
         with pytest.raises(EvaluationError):
-            friedman_nemenyi(RankTable(algorithms=("a", "b"), ranks=np.ones((1, 2))))
+            friedman_nemenyi(("a", "b"), np.ones((1, 2)))

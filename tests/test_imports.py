@@ -57,22 +57,25 @@ def test_generate_does_not_load_scipy(tmp_path):
 def test_ranking_does_not_load_scipy():
     out = run_fresh(
         "import sys\n"
-        "from mtstream import RankTable\n"
-        "t = RankTable.from_scores(['a', 'b', 'c'], [[0.3, 0.1, 0.3], [0.2, 0.5, 0.4]])\n"
-        "print('scipy' in sys.modules, t.ranks.tolist())")
+        "import numpy as np\n"
+        "from mtstream.evaluation import average_ranks\n"
+        "t = average_ranks(np.array([[0.3, 0.1, 0.3], [0.2, 0.5, 0.4]]))\n"
+        "print('scipy' in sys.modules, t.tolist())")
     assert out.strip() == "False [[2.5, 1.0, 2.5], [1.0, 3.0, 2.0]]"
 
 
 def test_comparison_loads_scipy_and_keeps_its_result():
     out = run_fresh(
         "import sys\n"
-        "from mtstream import RankTable, friedman_nemenyi\n"
+        "import numpy as np\n"
+        "from mtstream import friedman_nemenyi\n"
+        "from mtstream.evaluation import average_ranks\n"
         "before = 'scipy' in sys.modules\n"
-        "t = RankTable.from_scores(['a', 'b', 'c'], [[0.3, 0.1, 0.2], "
+        "s = np.array([[0.3, 0.1, 0.2], "
         "[0.5, 0.4, 0.4], [0.9, 0.2, 0.6], [0.7, 0.1, 0.8], [0.2, 0.3, 0.25]])\n"
-        "r = friedman_nemenyi(t)\n"
+        "r = friedman_nemenyi(['a', 'b', 'c'], s)\n"
         "print(before, 'scipy' in sys.modules)\n"
-        "print(repr((t.ranks.tolist(), r.chi2, r.f_stat, r.p_value, "
+        "print(repr((average_ranks(s).tolist(), r.chi2, r.f_stat, r.p_value, "
         "r.critical_difference, r.groups)))")
     loaded, result = out.splitlines()
     assert loaded == "False True"
