@@ -14,6 +14,7 @@ import numpy as np
 from mtstream import (
     EBSTObserver,
     MeritRatio,
+    ParentStats,
     TreeConfig,
     decide_split,
     hoeffding_bound,
@@ -33,7 +34,8 @@ n = 400
 x = rng.random((n, 2))
 y = np.where(x[:, [0]] > 0.5, 10.0, 0.0) + rng.normal(0, 0.5, size=(n, 2))
 
-parent = (float(n), tuple(y.sum(axis=0)), tuple((y ** 2).sum(axis=0)))
+# the leaf's target aggregate, shared by every feature's scan
+parent = ParentStats((float(n), tuple(y.sum(axis=0)), tuple((y ** 2).sum(axis=0))))
 observers = [EBSTObserver(2), EBSTObserver(2)]
 for i in range(n):
     observers[0].insert(float(x[i, 0]), y[i])

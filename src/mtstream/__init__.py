@@ -17,7 +17,7 @@ from .evaluation import (
     run_prequential,
 )
 from .leaf_models import FadedError, LeafPredictorSet
-from .observers import EBSTObserver, NominalObserver, SplitSuggestion
+from .observers import EBSTObserver, NominalObserver, ParentStats, SplitSuggestion
 from .schema import (
     FeatureSpec,
     Instance,
@@ -57,6 +57,7 @@ __all__ = [
     "MeritRatio",
     "MultiTargetHoeffdingTree",
     "NominalObserver",
+    "ParentStats",
     "Prediction",
     "PrequentialConfig",
     "RunningStats",

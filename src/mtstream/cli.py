@@ -200,6 +200,14 @@ def parse_evaluation_section(doc: dict, tree_doc: dict, base_seed: int) -> Prequ
         raise UsageError(f"bad evaluation section: {exc}") from exc
 
 
+def _file_name(name, what: str) -> str:
+    """`name` when it is a single non-empty file-name component, so a file
+    named after it stays inside the output directory."""
+    if not isinstance(name, str) or Path(name).name != name or name in ("", ".", ".."):
+        raise UsageError(f"{what} must be a file name without a directory part, got {name!r}")
+    return name
+
+
 def _dataset_entries(doc: dict) -> list[dict]:
     datasets = _expect(doc.get("datasets", []), list, "datasets")
     if not datasets:
@@ -210,10 +218,7 @@ def _dataset_entries(doc: dict) -> list[dict]:
         if "name" not in entry:
             raise UsageError(f"datasets[{i}] needs a 'name'")
         # the name heads the cell's report file name inside the output directory
-        name = entry["name"]
-        if not isinstance(name, str) or Path(name).name != name or name in ("", ".", ".."):
-            raise UsageError(f"datasets[{i}].name must be a file name without a "
-                             f"directory part, got {name!r}")
+        name = _file_name(entry["name"], f"datasets[{i}].name")
         if name in names:
             raise UsageError(f"datasets[{i}].name {name!r} is used by an earlier dataset")
         names.add(name)
@@ -460,7 +465,7 @@ def cmd_compare(args) -> int:
 
 def cmd_generate(args) -> int:
     doc = _load_json(args.config)
-    name = doc.get("name", doc.get("family", "stream"))
+    name = _file_name(doc.get("name", doc.get("family", "stream")), "name")
     # the flat form keeps the generator keys beside the file's own
     flat = {k: v for k, v in doc.items() if k not in ("name", "output_dir")}
     spec = parse_generator_spec(doc.get("generator", flat), seed_override=args.seed)

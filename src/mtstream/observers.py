@@ -3,10 +3,10 @@
 Numeric features are tracked per distinct observed value: one column per
 value, accumulating the count, per-target sum, and per-target sum of squares
 of the examples carrying that exact value. Examples arrive in blocks: `fold`
-merges the sorted keys with a block's values in one stable `np.unique`, moves
-the old columns to their new places, and adds every example's (1, y, y^2) row
-to its key's column with one `np.add.at`, in arrival order; new keys, repeated
-keys and one-example inserts take the same path. The keys stay sorted, so
+merges the sorted keys with a block's values in one stable sort, moves the old
+columns to their new places, and adds every example's (1, y, y^2) row to its
+key's column with one `np.add.at`, in arrival order; new keys, repeated keys
+and one-example inserts take the same path. The keys stay sorted, so
 scanning candidates is one prefix sum over the columns, which reconstructs,
 for every observed value as a `v <= key` threshold, the exact left/right
 partition statistics in a handful of vectorized passes.
@@ -17,7 +17,9 @@ same way, and propose a single multiway split over the declared category set.
 Split merit is the reduction in intra-cluster variance: the mean (across
 targets) sample variance of the parent minus the example-weighted mean of the
 children's. Both observers score the parent and every child with one kernel,
-`_icvar_rows`, over (1 + 2d, n) blocks of counts, sums and sums of squares.
+`_icvar_rows`, over (1 + 2d, n) blocks of counts, sums and sums of squares;
+the parent's column and its variance are built once per split attempt, as a
+`ParentStats`, and shared by every feature's scan.
 """
 
 from __future__ import annotations
@@ -75,18 +77,31 @@ class EBSTObserver:
         """Add the rows of `block` to the columns of `values`, one example per
         row in arrival order.
 
-        One stable merge of the old keys and the block's values keeps each
-        value's first-seen representative: an old key, else the block's first
-        arrival. Columns start at -0.0, the additive identity, and every row
-        adds in arrival order, so any blocking gives one-at-a-time bits.
+        One stable sort of the old keys and the block's values keeps each
+        value's first-seen representative, which heads its run of equal
+        values: an old key, else the block's first arrival. New columns start
+        at -0.0, the additive identity, and every row adds in arrival order,
+        so any blocking gives one-at-a-time bits. When every value is new and
+        distinct (the continuous case) each new column is one row, and
+        -0.0 + x == x, so the rows are copied in without the add.
         """
         n = len(self.keys)
         merged = np.concatenate((self.keys, values))
-        _, first, inverse = np.unique(merged, return_index=True, return_inverse=True)
-        rows = np.full((len(self.rows), len(first)), -0.0)
+        order = np.argsort(merged, kind="stable")
+        ordered = merged[order]
+        first = np.ones(len(merged), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        inverse = np.empty(len(merged), dtype=np.intp)
+        inverse[order] = np.cumsum(first) - 1
+        keys = ordered[first]
+        rows = np.empty((len(self.rows), len(keys)))
         rows[:, inverse[:n]] = self.rows
-        np.add.at(rows.T, inverse[n:], block)
-        self.keys = merged[first]
+        if len(keys) == len(merged):
+            rows[:, inverse[n:]] = block.T
+        else:
+            rows[:, order[first] >= n] = -0.0  # runs headed by a block value
+            np.add.at(rows.T, inverse[n:], block)
+        self.keys = keys
         self.rows = rows
 
     @property
@@ -106,22 +121,22 @@ class EBSTObserver:
         if len(self.keys) < 2:
             return None
         left = np.cumsum(self.rows, axis=1)
-        whole = _column(parent)
+        whole = parent.column
         right = whole - left
         valid = (left[0] >= 1.0) & (right[0] >= 1.0)
-        parent_cnt = parent[0]
+        parent_cnt = whole[0, 0]
         merits = (
-            _icvar_rows(whole)[0]
+            parent.icvar
             - (left[0] / parent_cnt) * _icvar_rows(left)
             - (right[0] / parent_cnt) * _icvar_rows(right)
         )
         return merits, valid, left, right
 
     def candidate_merits(self, parent) -> list[tuple[float, float, tuple, tuple]]:
-        """All (threshold, merit, left, right) tuples in increasing key order;
-        materialized from the vectorized scan, mainly for inspection and
-        oracle checks."""
-        scan = self._scan(parent)
+        """All (threshold, merit, left, right) tuples in increasing key order
+        for a parent (count, sums, sumsqs) triple; materialized from the
+        vectorized scan, mainly for inspection and oracle checks."""
+        scan = self._scan(ParentStats(parent))
         if scan is None:
             return []
         merits, valid, left, right = scan
@@ -130,7 +145,7 @@ class EBSTObserver:
                  _triple(right[:, i].tolist(), d))
                 for i in np.flatnonzero(valid).tolist()]
 
-    def best_splits(self, feature: int, parent) -> SplitSuggestion | None:
+    def best_splits(self, feature: int, parent: ParentStats) -> SplitSuggestion | None:
         """The highest-merit suggestion over this feature's candidate
         thresholds, or None when there is no candidate (below two distinct
         observed keys, or no threshold with an example on each side)."""
@@ -165,10 +180,17 @@ class EBSTObserver:
         return len(self.keys) * (2 + 2 * self.n_targets)
 
 
-def _column(parent) -> np.ndarray:
-    """(1 + 2d, 1) block of a (count, sums, sumsqs) triple."""
-    cnt, sums, sumsqs = parent
-    return np.array([cnt, *sums, *sumsqs], dtype=float)[:, None]
+class ParentStats:
+    """A leaf's target aggregate as every scan of one split attempt reads it:
+    the (1 + 2d, 1) column of its (count, sums, sumsqs) triple and that
+    column's intra-cluster variance."""
+
+    __slots__ = ("column", "icvar")
+
+    def __init__(self, triple):
+        cnt, sums, sumsqs = triple
+        self.column = np.array([cnt, *sums, *sumsqs], dtype=float)[:, None]
+        self.icvar = _icvar_rows(self.column)[0]
 
 
 def _triple(column: list, d: int) -> tuple:
@@ -185,14 +207,14 @@ def _icvar_rows(block: np.ndarray) -> np.ndarray:
     cnt = block[0]
     d = (len(block) - 1) // 2
     sums = block[1:1 + d]
-    denom = np.where(cnt > 1.0, cnt - 1.0, 1.0)
-    safe_cnt = np.where(cnt > 0.0, cnt, 1.0)
-    var = (block[1 + d:] - sums * sums / safe_cnt) / denom
-    np.maximum(var, 0.0, out=var)
+    with np.errstate(divide="ignore", invalid="ignore"):  # cnt < 2: zeroed below
+        var = block[1 + d:] - sums * sums / cnt
+        var /= cnt - 1.0
+        np.maximum(var, 0.0, out=var)
     var[:, cnt < 2.0] = 0.0
     total = var[0]
     for row in var[1:]:
-        total = total + row
+        total += row
     return total / d
 
 
@@ -218,19 +240,17 @@ class NominalObserver:
     def observed_categories(self) -> int:
         return int(np.count_nonzero(self.table[:, 0]))
 
-    def suggest(self, feature: int, parent) -> SplitSuggestion | None:
+    def suggest(self, feature: int, parent: ParentStats) -> SplitSuggestion | None:
         """One multiway suggestion over the declared categories, or None when
         fewer than two categories have been observed. The children's weighted
         variances are subtracted from the parent's in category order;
         categories with no examples contribute nothing."""
         if self.observed_categories < 2:
             return None
-        block = np.concatenate((_column(parent), self.table.T), axis=1)
-        icvar = _icvar_rows(block).tolist()
-        counts = block[0].tolist()
-        parent_cnt = counts[0]
-        merit = icvar[0]
-        for cnt, child_icvar in zip(counts[1:], icvar[1:]):
+        table = self.table.T
+        parent_cnt = float(parent.column[0, 0])
+        merit = float(parent.icvar)
+        for cnt, child_icvar in zip(table[0].tolist(), _icvar_rows(table).tolist()):
             if cnt > 0:
                 merit -= (cnt / parent_cnt) * child_icvar
         d = self.n_targets

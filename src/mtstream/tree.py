@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .leaf_models import LeafPredictorSet
-from .observers import EBSTObserver, NominalObserver, moment_block
+from .observers import EBSTObserver, NominalObserver, ParentStats, moment_block
 from .schema import NOMINAL, Instance, Prediction, StreamSchema, Variant
 from .splitting import MeritRatio, decide_split
 from .stats import RunningStats, VectorStats
@@ -112,14 +112,17 @@ class LeafNode:
 
     def fold_pending(self) -> None:
         """Fold the pending block into every observer, in arrival order.
-        Missing values (NaN) never reach an observer."""
+        Missing values (NaN) never reach an observer; a feature without any
+        passes its column and the block as they are."""
         if not self.pending_x:
             return
         values = np.frombuffer(self.pending_x).reshape(-1, len(self.observers))
         block = moment_block(np.frombuffer(self.pending_y).reshape(len(values), -1))
         present = values == values
         for obs, column, mask in zip(self.observers, values.T, present.T):
-            if mask.any():
+            if mask.all():
+                obs.fold(column, block)
+            elif mask.any():
                 obs.fold(column[mask], block[mask])
         self.pending_x = array("d")
         self.pending_y = array("d")
@@ -278,15 +281,16 @@ class MultiTargetHoeffdingTree:
         parent_triple = self._parent_triple(leaf)
         if parent_triple[0] < 2:
             return False
+        parent_stats = ParentStats(parent_triple)
 
         # rank features by their best candidate; the decision compares the
         # best feature against the runner-up feature
         per_feature = []
         for i, obs in enumerate(leaf.observers):
             if isinstance(obs, NominalObserver):
-                best = obs.suggest(i, parent_triple)
+                best = obs.suggest(i, parent_stats)
             else:
-                best = obs.best_splits(i, parent_triple)
+                best = obs.best_splits(i, parent_stats)
             if best is not None:
                 per_feature.append(best)
         if not per_feature:

@@ -24,7 +24,7 @@ from mtstream import (
     run_prequential,
 )
 from mtstream.leaf_models import LeafPredictorSet
-from mtstream.observers import EBSTObserver
+from mtstream.observers import EBSTObserver, ParentStats
 from mtstream.stats import RunningStats
 from mtstream.tree import MultiTargetHoeffdingTree
 
@@ -95,7 +95,7 @@ def test_criterion_02_scan_matches_brute_force():
     for trial in range(50):
         xs = rng.random((n, m))
         ys = rng.normal(size=(n, d)) + 3.0 * xs[:, [trial % m]]
-        parent = (float(n), tuple(ys.sum(axis=0)), tuple((ys ** 2).sum(axis=0)))
+        parent = ParentStats((float(n), tuple(ys.sum(axis=0)), tuple((ys ** 2).sum(axis=0))))
         best = None
         for f in range(m):
             obs = EBSTObserver(d)

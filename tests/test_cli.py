@@ -531,6 +531,20 @@ class TestGenerate:
         assert err.startswith("error: bad generator spec: ") and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name", ["../escaped", None, "", ".", "..", "sub/plane", 5],
+                             ids=["parent_dir", "null", "empty", "dot", "dotdot",
+                                  "subdir", "number"])
+    def test_name_that_is_not_a_file_name_exits_2_before_writing(self, tmp_path, capsys,
+                                                                 name):
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"name": name, "generator": {
+            "family": "plane_mt", "n_examples": 5}}))
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["gen.json"]
+        err = capsys.readouterr().err
+        assert err == (f"error: name must be a file name without a directory part, "
+                       f"got {name!r}\n")
+
     def test_unwritable_path_exits_1(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("a file, not a directory")

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtstream import evaluation
 from mtstream.evaluation import (
+    ALPHA,
     ComparisonResult,
     EvaluationError,
     PrequentialConfig,
@@ -15,6 +17,7 @@ from mtstream.evaluation import (
     friedman_nemenyi,
     read_report_csv,
     run_prequential,
+    _f_upper_tail,
     write_report_csv,
 )
 from mtstream.schema import Instance, Variant
@@ -207,6 +210,37 @@ class TestAverageRanks:
         ranks = average_ranks(np.array(rows))
         expected = np.vstack([rankdata(row, method="average") for row in rows])
         np.testing.assert_array_equal(ranks, expected)
+
+
+class TestFUpperTail:
+    """The Friedman test's p-value: the F upper tail against scipy's, which
+    the package itself does not import."""
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_matches_scipy_fdtrc(self, k):
+        from scipy.special import fdtrc, fdtri
+
+        for n in [*range(2, 61), 100, 250, 1000, 5000]:
+            dfn, dfd = k - 1, (k - 1) * (n - 1)
+            # a log grid, plus the two sides of the critical value at ALPHA
+            critical = float(fdtri(dfn, dfd, 1.0 - ALPHA))
+            grid = [*np.logspace(-6, 4, 21).tolist(), critical * (1 - 1e-7),
+                    critical * (1 + 1e-7)]
+            for f in grid:
+                ref = float(fdtrc(dfn, dfd, f))
+                p = _f_upper_tail(dfn, dfd, f)
+                assert abs(p - ref) <= 1e-9 * ref + 1e-15, (k, n, f, p, ref)
+                if abs(ref - ALPHA) > 1e-9:
+                    assert (p < ALPHA) == (ref < ALPHA), (k, n, f, p, ref)
+
+    def test_no_evidence_gives_one(self):
+        assert _f_upper_tail(2, 8, 0.0) == 1.0
+        assert _f_upper_tail(2, 8, -1.0) == 1.0
+
+    def test_a_fraction_that_does_not_converge_raises(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_MAX_TERMS", 1)
+        with pytest.raises(EvaluationError, match="did not converge in 1 terms"):
+            _f_upper_tail(4, 400, 2.3)
 
 
 def containment_groups(result: ComparisonResult) -> tuple:

@@ -1,11 +1,11 @@
-"""Import hygiene: every public name resolves, and scipy is loaded only by
-the Friedman test's F survival function.
+"""Import hygiene: every public name resolves, and nothing in the package
+loads scipy.
 
-`import scipy.stats` costs about 0.6 s and 70 MB, which every prequential
-process and every `mtstream run` pool worker would otherwise pay before its
-first example; ranks are computed in numpy. Each check runs in a fresh
-interpreter, since this test process may already have loaded scipy through
-other tests.
+`import scipy.special` costs about 0.33 s and 26 MB, and `scipy.stats` about
+1.0 s, which every prequential process, every `mtstream run` pool worker and
+every summary would otherwise pay; ranks and the Friedman p-value are
+computed in numpy and plain Python. Each check runs in a fresh interpreter,
+since this test process may already have loaded scipy through other tests.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+
+import pytest
 
 
 def run_fresh(code: str) -> str:
@@ -64,24 +66,48 @@ def test_ranking_does_not_load_scipy():
     assert out.strip() == "False [[2.5, 1.0, 2.5], [1.0, 3.0, 2.0]]"
 
 
-def test_comparison_loads_scipy_and_keeps_its_result():
+def test_comparison_does_not_load_scipy():
     out = run_fresh(
         "import sys\n"
         "import numpy as np\n"
         "from mtstream import friedman_nemenyi\n"
         "from mtstream.evaluation import average_ranks\n"
-        "before = 'scipy' in sys.modules\n"
         "s = np.array([[0.3, 0.1, 0.2], "
         "[0.5, 0.4, 0.4], [0.9, 0.2, 0.6], [0.7, 0.1, 0.8], [0.2, 0.3, 0.25]])\n"
         "r = friedman_nemenyi(['a', 'b', 'c'], s)\n"
-        "print(before, 'scipy' in sys.modules)\n"
-        "print(repr((average_ranks(s).tolist(), r.chi2, r.f_stat, r.p_value, "
-        "r.critical_difference, r.groups)))")
-    loaded, result = out.splitlines()
-    assert loaded == "False True"
-    # frozen values: where scipy is imported must not change the result
+        "print('scipy' in sys.modules)\n"
+        "print(repr((average_ranks(s).tolist(), r.chi2, r.f_stat, "
+        "r.critical_difference, r.groups)))\n"
+        "print(repr(r.p_value))")
+    loaded, result, p_value = out.splitlines()
+    assert loaded == "False"
+    # frozen values; the p-value is scipy.special.fdtrc's to 1e-12
     assert result == repr((
         [[3.0, 1.0, 2.0], [3.0, 1.5, 1.5], [3.0, 1.0, 2.0], [2.0, 1.0, 3.0],
          [1.0, 3.0, 2.0]],
-        2.0999999999999996, 1.063291139240506, 0.3895008100000001,
-        1.482096293767716, (("b", "c", "a"),)))
+        2.0999999999999996, 1.063291139240506, 1.482096293767716, (("b", "c", "a"),)))
+    assert float(p_value) == pytest.approx(0.3895008100000001, rel=1e-12, abs=0.0)
+
+
+def test_run_and_compare_do_not_load_scipy(tmp_path):
+    """One generated dataset ranks its variants over its windows, which do
+    not all agree, so both commands compute a p-value."""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "datasets": [{"name": "toy", "generator": {
+            "family": "friedman_mt", "n_examples": 700, "n_targets": 2,
+            "noise_sd": 1.0, "seed": 7}}],
+        "variants": ["perceptron", "adaptive"],
+        "evaluation": {"window": 100, "warm_start": 100, "seeds": [0]}}))
+    out = tmp_path / "out"
+    done = run_fresh(
+        "import sys\n"
+        "from mtstream.cli import main\n"
+        f"ran = main(['run', '--config', {str(config)!r}, '--out', {str(out)!r}, "
+        "'--jobs', '1'])\n"
+        f"compared = main(['compare', {str(out)!r}])\n"
+        "print(ran, compared, 'scipy' in sys.modules)")
+    assert done.splitlines()[-1] == "0 0 False"
+    with open(out / "comparison.csv", encoding="utf-8") as fh:
+        f_stat = fh.read().splitlines()[1].split(",")[4]
+    assert float(f_stat) < float("inf")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mtstream.observers import EBSTObserver, NominalObserver
+from mtstream.observers import EBSTObserver, NominalObserver, ParentStats, moment_block
 from mtstream.tree import LeafNode
 
 
@@ -105,7 +105,7 @@ class TestScanSplits:
         obs = build_observer(pairs, 1)
         parent = triple([y for _, y in pairs])
         assert batch_icvar([y for _, y in pairs]) == pytest.approx(4.0 / 3.0)
-        best = obs.best_splits(0, parent)
+        best = obs.best_splits(0, ParentStats(parent))
         assert best.threshold == 1.0
         assert best.merit == pytest.approx(4.0 / 3.0)
 
@@ -119,7 +119,7 @@ class TestScanSplits:
     def test_single_distinct_key_yields_no_suggestion(self):
         obs = build_observer([(1.0, (1.0,)), (1.0, (2.0,))], 1)
         parent = triple([(1.0,), (2.0,)])
-        assert obs.best_splits(0, parent) is None
+        assert obs.best_splits(0, ParentStats(parent)) is None
 
     def test_merits_match_brute_force(self):
         rng = np.random.default_rng(7)
@@ -243,6 +243,56 @@ class TestBlockFold:
         assert repr(folded_nominal.table.tolist()) == repr(nominal.table.tolist())
 
 
+def unique_fold(keys, rows, values, block):
+    """`EBSTObserver.fold` as one stable np.unique merge and one np.add.at
+    into -0.0 columns: the reference the observer's fold matches bit for
+    bit."""
+    n = len(keys)
+    merged = np.concatenate((keys, values))
+    _, first, inverse = np.unique(merged, return_index=True, return_inverse=True)
+    out = np.full((len(rows), len(first)), -0.0)
+    out[:, inverse[:n]] = rows
+    np.add.at(out.T, inverse[n:], block)
+    return merged[first], out
+
+
+# repeats, signed zeros and integer-valued floats, plus continuous values that
+# make whole blocks of new distinct keys
+_FOLD_VALUES = st.one_of(_VALUES, st.integers(-3, 3).map(float),
+                         st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+class TestFoldMatchesUniqueMerge:
+    @settings(max_examples=200, deadline=None)
+    @example(blocks=[[(1.0, (0.1, 1e16))], [(2.0, (3.0, -0.0))]])  # one-row blocks, all new
+    @example(blocks=[[(0.0, (0.1, 1e16)), (0.5, (1e-3, 3.0))],
+                     [(-0.0, (-2.5, 0.1)), (0.25, (-0.0, -0.0))]])
+    @given(blocks=st.lists(st.lists(st.tuples(_FOLD_VALUES, _ORDERED_TARGETS),
+                                    min_size=1, max_size=12), min_size=2, max_size=6))
+    def test_keys_and_rows_are_byte_equal(self, blocks):
+        obs = EBSTObserver(2)
+        keys, rows = obs.keys, obs.rows
+        for block in blocks:
+            values = np.array([v for v, _ in block], dtype=float)
+            moments = moment_block([y for _, y in block])
+            keys, rows = unique_fold(keys, rows, values, moments)
+            obs.fold(values, moments)
+            assert obs.keys.tobytes() == keys.tobytes()
+            assert obs.rows.shape == rows.shape
+            assert obs.rows.tobytes() == rows.tobytes()
+
+    def test_an_empty_block_changes_nothing(self):
+        obs = EBSTObserver(2)
+        empty = np.empty(0), np.empty((0, 5))
+        obs.fold(*empty)
+        assert obs.distinct_keys == 0 and obs.rows.shape == (5, 0)
+        obs.insert(1.0, (2.0, 3.0))
+        keys, rows = obs.keys, obs.rows
+        obs.fold(*empty)
+        assert obs.keys.tobytes() == keys.tobytes()
+        assert obs.rows.tobytes() == rows.tobytes()
+
+
 class TestNominalObserver:
     def test_constant_but_different_categories(self):
         obs = NominalObserver(2, 1)
@@ -251,7 +301,7 @@ class TestNominalObserver:
         for y in (2.0, 2.0):
             obs.insert(1, (y,))
         parent = triple([(0.0,), (0.0,), (2.0,), (2.0,)])
-        suggestion = obs.suggest(0, parent)
+        suggestion = obs.suggest(0, ParentStats(parent))
         assert suggestion.merit == pytest.approx(batch_icvar([(0.0,), (0.0,), (2.0,), (2.0,)]))
         assert suggestion.threshold is None
         assert len(suggestion.child_stats) == 2
@@ -260,7 +310,7 @@ class TestNominalObserver:
         obs = NominalObserver(3, 1)
         obs.insert(1, (5.0,))
         obs.insert(1, (6.0,))
-        assert obs.suggest(0, triple([(5.0,), (6.0,)])) is None
+        assert obs.suggest(0, ParentStats(triple([(5.0,), (6.0,)]))) is None
 
     def test_uniform_targets_across_categories(self):
         obs = NominalObserver(2, 1)
@@ -270,7 +320,7 @@ class TestNominalObserver:
         parent = triple([(y,) for _, y in rows])
         # children replicate the parent distribution; the n-1 denominators
         # make the weighted child variance slightly exceed the parent's
-        assert obs.suggest(0, parent).merit <= 0.0
+        assert obs.suggest(0, ParentStats(parent)).merit <= 0.0
 
     def test_count_invariant(self):
         rng = np.random.default_rng(5)
@@ -292,7 +342,7 @@ class TestNominalObserver:
         expected = batch_icvar([y for _, y in rows]) - sum(
             (len(g) / len(rows)) * batch_icvar(g) for g in per_cat if g
         )
-        assert obs.suggest(0, parent).merit == pytest.approx(expected, abs=1e-9)
+        assert obs.suggest(0, ParentStats(parent)).merit == pytest.approx(expected, abs=1e-9)
 
     def test_unobserved_category_contributes_nothing(self):
         # category 1 is declared but never observed: the merit is that of the
@@ -302,7 +352,7 @@ class TestNominalObserver:
         for c, y in rows:
             obs.insert(c, (y,))
         parent = triple([(y,) for _, y in rows])
-        suggestion = obs.suggest(0, parent)
+        suggestion = obs.suggest(0, ParentStats(parent))
         expected = batch_icvar([(y,) for _, y in rows]) \
             - (2 / 5) * batch_icvar([(0.0,), (1.0,)]) \
             - (3 / 5) * batch_icvar([(2.0,), (4.0,), (3.0,)])
