@@ -16,7 +16,7 @@ from .evaluation import (
     friedman_nemenyi,
     run_prequential,
 )
-from .leaf_models import FadedError, LeafPredictorSet
+from .leaf_models import LeafPredictorSet
 from .observers import EBSTObserver, NominalObserver, ParentStats, SplitSuggestion
 from .schema import (
     FeatureSpec,
@@ -49,7 +49,6 @@ __all__ = [
     "DriftSpec",
     "EBSTObserver",
     "EvaluationError",
-    "FadedError",
     "FeatureSpec",
     "GeneratorSpec",
     "Instance",

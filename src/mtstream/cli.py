@@ -98,10 +98,10 @@ def _int(value) -> int:
     return int(value)
 
 
-def _settings(doc: dict, convert: dict, ignore: tuple = ()) -> dict:
+def _settings(doc: dict, convert: dict) -> dict:
     """The keys `doc` sets, each passed through `convert[key]`; the config
-    dataclass supplies every default. Keys in `ignore` are read elsewhere;
-    any other key is a ValueError naming it."""
+    dataclass supplies every default. Any other key is a ValueError naming
+    it."""
     settings = {}
     for key, value in doc.items():
         if key in convert:
@@ -109,7 +109,7 @@ def _settings(doc: dict, convert: dict, ignore: tuple = ()) -> dict:
                 settings[key] = convert[key](value)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{key}: {exc}") from exc
-        elif key not in ignore:
+        else:
             raise ValueError(f"unknown key {key!r}")
     return settings
 
@@ -162,12 +162,10 @@ _TREE_SETTINGS = {"delta": _float, "tau": _float, "grace_period": _int, "learnin
 
 
 def parse_tree_section(doc: dict, variant: Variant, seed: int) -> TreeConfig:
-    """Omitted fields take the TreeConfig defaults, the benchmark settings.
-    A `warm_start` key is the legacy default of `evaluation.warm_start`."""
+    """Omitted fields take the TreeConfig defaults, the benchmark settings."""
     _expect(doc, dict, "tree section")
     try:
-        return TreeConfig(variant=variant, seed=seed,
-                          **_settings(doc, _TREE_SETTINGS, ignore=("warm_start",)))
+        return TreeConfig(variant=variant, seed=seed, **_settings(doc, _TREE_SETTINGS))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad tree section: {exc}") from exc
 
@@ -181,15 +179,12 @@ def _seeds(seeds) -> tuple[int, ...] | None:
 _EVALUATION_SETTINGS = {"window": _int, "warm_start": _int, "repetitions": _int, "seeds": _seeds}
 
 
-def parse_evaluation_section(doc: dict, tree_doc: dict, base_seed: int) -> PrequentialConfig:
+def parse_evaluation_section(doc: dict, base_seed: int) -> PrequentialConfig:
     """Omitted fields take the PrequentialConfig defaults. Without explicit
     seeds, `repetitions` (30 by default) seeds count up from `base_seed`."""
     _expect(doc, dict, "evaluation section")
-    _expect(tree_doc, dict, "tree section")
     try:
         settings = _settings(doc, _EVALUATION_SETTINGS)
-        if "warm_start" in tree_doc:  # checked even when evaluation sets its own
-            settings.setdefault("warm_start", _int(tree_doc["warm_start"]))
         repetitions = settings.pop("repetitions", 30)
         if settings.get("seeds") is None:
             settings["seeds"] = tuple(base_seed + i for i in range(repetitions))
@@ -250,9 +245,9 @@ def _run_cell(payload: dict) -> WindowedReport:
 
 def _leaf_cost(variant_name: str) -> tuple:
     """Sort key for the cost of a variant's leaves: a stacked layer, then a
-    base layer, then the number of scored predictors."""
+    base layer, then the number of selectable predictors."""
     variant = Variant(variant_name)
-    return variant.has_meta_layer, variant.has_base_layer, len(variant.scored)
+    return variant.has_meta_layer, variant.has_base_layer, len(variant.selectable)
 
 
 def report_filename(dataset: str, variant: str, seed: int) -> str:
@@ -264,9 +259,8 @@ def cmd_run(args) -> int:
     out_dir = _resolve_out_dir(args.out, doc.get("output_dir"))
     datasets = _dataset_entries(doc)
     variants = parse_variants(doc.get("variants"))
-    tree_doc = doc.get("tree", {})
-    tree = parse_tree_section(tree_doc, variants[0], args.seed)
-    preq = parse_evaluation_section(doc.get("evaluation", {}), tree_doc, args.seed)
+    tree = parse_tree_section(doc.get("tree", {}), variants[0], args.seed)
+    preq = parse_evaluation_section(doc.get("evaluation", {}), args.seed)
     for entry in datasets:  # each cell opens its source again
         try:
             _make_source(entry)

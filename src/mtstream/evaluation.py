@@ -18,6 +18,7 @@ from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
+from .schema import check_integers
 from .tree import MultiTargetHoeffdingTree, TreeConfig
 
 
@@ -44,6 +45,8 @@ class PrequentialConfig:
     seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self):
+        check_integers(EvaluationError, window=self.window, warm_start=self.warm_start,
+                       **{f"seeds[{i}]": seed for i, seed in enumerate(self.seeds)})
         if self.window < 1:
             raise EvaluationError("window must be >= 1")
         if self.warm_start < 0:
@@ -196,19 +199,27 @@ def write_report_csv(report: WindowedReport, path) -> None:
 
 
 def read_report_csv(path) -> list[WindowRow]:
+    """The rows of a report CSV. Other columns, a row of another length or a
+    cell that does not parse raise EvaluationError naming the file and line."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != REPORT_COLUMNS:
             raise EvaluationError(f"{path}: unexpected report columns {reader.fieldnames}")
         for rec in reader:
-            rows.append(WindowRow(
-                window_index=int(rec["window_index"]),
-                armse=float(rec["armse"]),
-                cum_armse=float(rec["cum_armse"]),
-                elapsed_s=float(rec["elapsed_s"]),
-                model_bytes=int(rec["model_bytes"]),
-            ))
+            try:
+                # DictReader pads a short row with None and keys a long row's rest by None
+                if None in rec or None in rec.values():
+                    raise ValueError(f"expected {len(REPORT_COLUMNS)} fields")
+                rows.append(WindowRow(
+                    window_index=int(rec["window_index"]),
+                    armse=float(rec["armse"]),
+                    cum_armse=float(rec["cum_armse"]),
+                    elapsed_s=float(rec["elapsed_s"]),
+                    model_bytes=int(rec["model_bytes"]),
+                ))
+            except ValueError as exc:
+                raise EvaluationError(f"{path}, line {reader.line_num}: {exc}") from exc
     return rows
 
 

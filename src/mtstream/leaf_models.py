@@ -1,5 +1,5 @@
 """Leaf predictors: target means, linear models, a stacked second layer, and
-faded-error bookkeeping for per-target predictor selection.
+the faded errors behind the adaptive leaves' per-target predictor choice.
 
 All linear modelling happens in z-score space; predictions are mapped back to
 the original target scales. Both layers train with the delta rule under a
@@ -25,26 +25,6 @@ from .stats import unstandardize
 FADE_DECAY = 0.95
 
 
-class FadedError:
-    """Per-target faded absolute-error sums of one predictor: `num` and `den`.
-
-    `LeafPredictorSet.score_candidates` folds each example in: both sums
-    decay by 0.95, `num` adds the absolute error and `den` adds 1, so `den`
-    stays below 1/(1 - 0.95) = 20. `LeafPredictorSet.select_from` reads the
-    error as num/den, or +inf before the first example, so fresh predictors
-    tie and the tie-break order decides.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, n_targets: int):
-        self.num = [0.0] * n_targets
-        self.den = [0.0] * n_targets
-
-    def state(self) -> tuple:
-        return (tuple(self.num), tuple(self.den))
-
-
 class LeafPredictorSet:
     """The predictor stack one leaf carries, shaped by the tree variant.
 
@@ -54,12 +34,16 @@ class LeafPredictorSet:
     variant lacks it. Products use `ndarray.dot`, the same BLAS call as `@`
     with less overhead per call on these small arrays.
 
-    Faded errors are tracked for every predictor the leaf evaluates per
-    example (the variant's `scored` set); selection draws from the variant's
-    `selectable` set, breaking fMAE ties toward the cheaper model.
+    Only an adaptive leaf (several selectable predictors) keeps faded
+    absolute errors: `fmae` maps each selectable predictor to its per-target
+    numerators, which share the denominator `den`. Per example every sum
+    decays by 0.95, each numerator adds its absolute error and `den` adds 1
+    (so `den` < 20). An error reads num/den, or +inf before the first
+    example, so fresh predictors tie and the cheaper model wins. A fixed
+    leaf's `fmae` is empty: it scores nothing.
     """
 
-    __slots__ = ("variant", "n_targets", "base", "meta", "fmae", "learning_rate",
+    __slots__ = ("variant", "n_targets", "base", "meta", "fmae", "den", "learning_rate",
                  "train_inputs")
 
     def __init__(self, variant: Variant, n_features: int, n_targets: int,
@@ -71,7 +55,7 @@ class LeafPredictorSet:
             if variant.has_base_layer else None
         self.meta = rng.uniform(-1.0, 1.0, size=(n_targets, n_targets + 1)) \
             if variant.has_meta_layer else None
-        self.fmae = {name: FadedError(n_targets) for name in variant.scored}
+        self._reset_errors()
         # augmented-input buffers of `train` (bias slot preset to 1), shared by
         # every predictor set spawned from this one, i.e. by one tree's leaves
         self.train_inputs = (np.ones(n_features + 1), np.ones(n_targets + 1)) \
@@ -86,24 +70,31 @@ class LeafPredictorSet:
         child.learning_rate = self.learning_rate
         child.base = self.base.copy() if self.base is not None else None
         child.meta = self.meta.copy() if self.meta is not None else None
-        child.fmae = {name: FadedError(self.n_targets) for name in self.variant.scored}
+        child._reset_errors()
         child.train_inputs = self.train_inputs
         return child
 
+    def _reset_errors(self) -> None:
+        selectable = self.variant.selectable
+        self.fmae = {name: [0.0] * self.n_targets for name in selectable} \
+            if len(selectable) > 1 else {}
+        self.den = 0.0
+
     def _candidates(self, x_std, stats) -> dict[str, list[float]]:
-        """Original-scale prediction of every scored predictor, all Python
-        floats. `x_std` is read only when the variant has a base layer.
+        """Original-scale prediction of every selectable predictor, all
+        Python floats. `x_std` is read only when the variant has a base layer.
 
         Inputs are built fresh on every call, not in the `train` buffers,
         because `predict` may run concurrently."""
         means, sds = stats.target_scales()
+        selectable = self.variant.selectable
         out = {}
-        if MEAN_PRED in self.fmae:
+        if MEAN_PRED in selectable:
             out[MEAN_PRED] = means
         base = self.base
         if base is not None:
             base_std = base.dot(np.array([1.0, *x_std])).tolist()
-            if PERCEPTRON_PRED in self.fmae:
+            if PERCEPTRON_PRED in selectable:
                 out[PERCEPTRON_PRED] = unstandardize(base_std, means, sds)
             if self.meta is not None:
                 meta_std = self.meta.dot(np.array([1.0, *base_std])).tolist()
@@ -119,16 +110,15 @@ class LeafPredictorSet:
             name = selectable[0]
             return Prediction(values=tuple(candidates[name]),
                               per_target_source=(name,) * self.n_targets)
-        fmae = self.fmae
-        tables = [(name, fmae[name].num, fmae[name].den) for name in selectable]
+        tables = self.fmae.items()  # in `selectable` order
+        den = self.den
         inf = math.inf
         values = []
         sources = []
         for t in range(self.n_targets):
             best_name = None
-            for name, num, den in tables:
-                d = den[t]
-                err = num[t] / d if d > 0.0 else inf
+            for name, num in tables:
+                err = num[t] / den if den > 0.0 else inf
                 if best_name is None or err < best_err:
                     best_err = err
                     best_name = name
@@ -137,13 +127,14 @@ class LeafPredictorSet:
         return Prediction(values=tuple(values), per_target_source=tuple(sources))
 
     def score_candidates(self, candidates: dict[str, list[float]], y_true) -> None:
-        """Fold one example's absolute errors into every scored predictor's
-        faded table (call before any state is updated)."""
+        """Fold one example's absolute errors into an adaptive leaf's faded
+        errors (call before any state is updated); a fixed leaf has none."""
         fmae = self.fmae
+        if not fmae:
+            return
         for name, pred in candidates.items():
-            fe = fmae[name]
-            fe.num = [FADE_DECAY * e + abs(y - p) for e, y, p in zip(fe.num, y_true, pred)]
-            fe.den = [FADE_DECAY * d + 1.0 for d in fe.den]
+            fmae[name] = [FADE_DECAY * e + abs(y - p) for e, y, p in zip(fmae[name], y_true, pred)]
+        self.den = FADE_DECAY * self.den + 1.0
 
     def train(self, x_std, y_std) -> None:
         """One delta-rule step on both layers. The stacked layer consumes the
@@ -174,12 +165,15 @@ class LeafPredictorSet:
         return slots
 
     def fade_slots(self) -> int:
-        return 2 * self.n_targets * len(self.fmae)
+        return self.n_targets * len(self.fmae) + 1 if self.fmae else 0
 
     def state(self) -> tuple:
+        # the mtstream-tree/1 layout: each predictor's numerators, then its
+        # denominators, one per target (here all the shared `den`)
+        den = (self.den,) * self.n_targets
         return (
             self.variant.value,
             tuple(map(tuple, self.base.tolist())) if self.base is not None else None,
             tuple(map(tuple, self.meta.tolist())) if self.meta is not None else None,
-            tuple((name, self.fmae[name].state()) for name in sorted(self.fmae)),
+            tuple((name, (tuple(self.fmae[name]), den)) for name in sorted(self.fmae)),
         )

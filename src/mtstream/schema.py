@@ -5,10 +5,23 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 
 class SchemaError(ValueError):
     """Configuration error: instance or stream does not match the declared schema."""
+
+
+def is_integer(value) -> bool:
+    """An integer setting is a `numbers.Integral` that is not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def check_integers(error: type, **settings) -> None:
+    """Raise `error` naming the first of `settings` that is not an integer."""
+    for name, value in settings.items():
+        if not is_integer(value):
+            raise error(f"{name} must be an integer, got {value!r}")
 
 
 NUMERIC = "numeric"
@@ -175,27 +188,12 @@ class Variant(enum.Enum):
         """Predictors the variant may pick from, in tie-break order."""
         return _SELECTABLE[self]
 
-    @property
-    def scored(self) -> tuple[str, ...]:
-        """Predictors whose faded error is tracked: everything the leaf
-        computes on each example (the base layer is computed whenever a meta
-        layer consumes it)."""
-        return _SCORED[self]
-
 
 _SELECTABLE = {
     Variant.MEAN: (MEAN_PRED,),
     Variant.PERCEPTRON: (PERCEPTRON_PRED,),
     Variant.ADAPTIVE: (MEAN_PRED, PERCEPTRON_PRED),
     Variant.STACKED: (STACKED_PRED,),
-    Variant.STACKED_ADAPTIVE: (MEAN_PRED, PERCEPTRON_PRED, STACKED_PRED),
-}
-
-_SCORED = {
-    Variant.MEAN: (MEAN_PRED,),
-    Variant.PERCEPTRON: (PERCEPTRON_PRED,),
-    Variant.ADAPTIVE: (MEAN_PRED, PERCEPTRON_PRED),
-    Variant.STACKED: (PERCEPTRON_PRED, STACKED_PRED),
     Variant.STACKED_ADAPTIVE: (MEAN_PRED, PERCEPTRON_PRED, STACKED_PRED),
 }
 

@@ -18,7 +18,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +29,8 @@ from .schema import (
     Instance,
     SchemaError,
     StreamSchema,
+    check_integers,
+    is_integer,
     numeric_schema,
 )
 
@@ -64,7 +65,7 @@ class DriftSpec:
             raise ConfigError("synchronous drift takes exactly one position")
         if not self.positions:
             raise ConfigError("drift needs at least one position")
-        if not all(isinstance(p, Integral) and not isinstance(p, bool) for p in self.positions):
+        if not all(map(is_integer, self.positions)):
             raise ConfigError(f"drift positions must be integers, got {self.positions}")
 
 
@@ -83,6 +84,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in ("friedman_mt", "plane_mt", "mv_like"):
             raise ConfigError(f"unknown generator family {self.family!r}")
+        check_integers(ConfigError, n_examples=self.n_examples, n_targets=self.n_targets,
+                       seed=self.seed)
         if self.n_examples < 1 or self.n_targets < 1:
             raise ConfigError("n_examples and n_targets must be positive")
         if self.noise_sd < 0:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .leaf_models import LeafPredictorSet
 from .observers import EBSTObserver, NominalObserver, ParentStats, moment_block
-from .schema import NOMINAL, Instance, Prediction, StreamSchema, Variant
+from .schema import NOMINAL, Instance, Prediction, StreamSchema, Variant, check_integers
 from .splitting import MeritRatio, decide_split
 from .stats import RunningStats, VectorStats
 
@@ -33,7 +33,7 @@ SERIAL_FORMAT = "mtstream-tree/1"
 
 # Size accounting: every stored float/int/reference counts as one 8-byte slot.
 NODE_BASE_SLOTS = 4  # kind tag, feature id, threshold, child count
-LEAF_COUNTER_SLOTS = 4  # examples seen, attempt counter, ratio total + count
+LEAF_COUNTER_SLOTS = 3  # examples seen, ratio total + count
 
 _NAN = math.nan  # a missing value in a leaf's pending feature buffer
 
@@ -56,6 +56,7 @@ class TreeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(ValueError, grace_period=self.grace_period, seed=self.seed)
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if not self.tau >= 0.0:  # also rejects NaN
@@ -88,7 +89,7 @@ class LeafNode:
     as floats; targets). The leaf keeps no reference to a learned Instance."""
 
     __slots__ = ("stats", "observers", "predictors", "ratio",
-                 "examples_seen", "since_attempt", "pending_x", "pending_y")
+                 "examples_seen", "pending_x", "pending_y")
 
     def __init__(self, stats: VectorStats, observers: list,
                  predictors: LeafPredictorSet):
@@ -97,7 +98,6 @@ class LeafNode:
         self.predictors = predictors
         self.ratio = MeritRatio()
         self.examples_seen = 0
-        self.since_attempt = 0
         self.pending_x = array("d")  # learned, not yet in the observers
         self.pending_y = array("d")
 
@@ -219,9 +219,10 @@ class MultiTargetHoeffdingTree:
         return predictors.select_from(predictors._candidates(x_std, stats))
 
     def learn(self, instance: Instance) -> None:
-        """Fold one example into exactly one leaf; attempt a split when that
-        leaf's counter reaches the grace period. Examples with a non-finite
-        target or numeric feature are rejected and counted, never learned."""
+        """Fold one example into exactly one leaf; attempt a split whenever
+        that leaf's example count reaches a multiple of the grace period.
+        Examples with a non-finite target or numeric feature are rejected and
+        counted, never learned."""
         self._learn_impl(instance, want_prediction=False)
 
     def predict_then_learn(self, instance: Instance) -> Prediction:
@@ -258,10 +259,8 @@ class MultiTargetHoeffdingTree:
             predictors.train(*scaled)
 
         leaf.examples_seen += 1
-        leaf.since_attempt += 1
         self.examples_learned += 1
-        if leaf.since_attempt >= self.config.grace_period:
-            leaf.since_attempt = 0
+        if leaf.examples_seen % self.config.grace_period == 0:
             self.split_attempt_count += 1
             self._attempt_split(leaf, parent, child_index)
         return prediction
@@ -326,8 +325,9 @@ class MultiTargetHoeffdingTree:
         - leaf statistics: 3 slots per target and per numeric feature;
         - observers: numeric, (2 + 2d) slots per folded distinct key;
           nominal, (1 + 2d) slots per declared category;
-        - leaf models: one slot per weight, 2 slots per target per scored
-          predictor (faded numerator/denominator), 4 counter slots.
+        - leaf models: one slot per weight; on an adaptive leaf, one faded
+          numerator per target per selectable predictor plus one shared
+          denominator; 3 counter slots.
 
         A leaf's pending block (at most `grace_period` rows, folded at every
         split attempt) is not counted. `serialize()` folds it first, so it
@@ -365,7 +365,7 @@ class MultiTargetHoeffdingTree:
             "n_targets": self.schema.n_targets,
             "leaf_count": self.leaf_count,
             "split_count": self.split_count,
-            "root": _node_dict(self.root, include_leaf_state),
+            "root": _node_dict(self.root, include_leaf_state, self.config.grace_period),
         }
         if include_leaf_state:
             doc["variant"] = self.config.variant.value
@@ -381,13 +381,13 @@ class MultiTargetHoeffdingTree:
         return self.serialize(include_leaf_state=False)
 
 
-def _node_dict(node, include_leaf_state: bool) -> dict:
+def _node_dict(node, include_leaf_state: bool, grace_period: int) -> dict:
     if not node.is_leaf:
         return {
             "kind": "split",
             "feature": node.feature,
             "threshold": node.threshold,
-            "children": [_node_dict(c, include_leaf_state) for c in node.children],
+            "children": [_node_dict(c, include_leaf_state, grace_period) for c in node.children],
         }
     if not include_leaf_state:
         return {"kind": "leaf"}
@@ -395,7 +395,7 @@ def _node_dict(node, include_leaf_state: bool) -> dict:
     return {
         "kind": "leaf",
         "examples_seen": node.examples_seen,
-        "since_attempt": node.since_attempt,
+        "since_attempt": node.examples_seen % grace_period,
         "ratio": node.ratio.state(),
         "stats": node.stats.state(),
         "predictors": node.predictors.state(),

@@ -189,12 +189,12 @@ def test_criterion_05_stacked_overhead_is_per_leaf_constant():
         stacked, perceptron = trees[Variant.STACKED], trees[Variant.PERCEPTRON]
         assert stacked.leaf_count == perceptron.leaf_count
         assert stacked.leaf_count >= 2  # at least one split happened
-        # meta weights d(d+1) plus the stacked predictor's faded table (2d),
-        # 8 bytes per slot
-        per_leaf = 8 * (d * (d + 1) + 2 * d)
+        # meta weights d(d+1), 8 bytes per slot; neither fixed variant keeps
+        # faded errors
+        per_leaf = 8 * d * (d + 1)
         diff = stacked.model_size_bytes() - perceptron.model_size_bytes()
         assert diff == stacked.leaf_count * per_leaf
-    report(5, "size(stacked) - size(perceptron) = leaves x 8(d^2 + 3d) bytes, "
+    report(5, "size(stacked) - size(perceptron) = leaves x 8(d^2 + d) bytes, "
               "exactly, for (d,m) in {(2,4), (3,6), (5,3)}")
 
 
@@ -237,9 +237,8 @@ def test_criterion_07_selection_matches_faded_error_argmin():
     checked = 0
     for inst in source:
         leaf = tree.route(inst)
-        fmae = leaf.predictors.fmae
-        snapshot = {name: [n / d if d > 0.0 else math.inf
-                           for n, d in zip(fmae[name].num, fmae[name].den)]
+        fmae, d = leaf.predictors.fmae, leaf.predictors.den
+        snapshot = {name: [n / d if d > 0.0 else math.inf for n in fmae[name]]
                     for name in order}
         prediction = tree.predict_then_learn(inst)
         for t, chosen in enumerate(prediction.per_target_source):
@@ -268,12 +267,11 @@ def test_criterion_08_nemenyi_critical_difference():
 def faded_mean_error(abs_errors) -> float:
     """Feed absolute errors of the mean predictor through the tree's own
     scoring step and read the faded error as num/den."""
-    ps = LeafPredictorSet(Variant.MEAN, 1, 1, learning_rate=0.01,
+    ps = LeafPredictorSet(Variant.ADAPTIVE, 1, 1, learning_rate=0.01,
                           rng=np.random.default_rng(9))
     for e in abs_errors:
         ps.score_candidates({"mean": [0.0]}, (e,))
-    fe = ps.fmae["mean"]
-    return fe.num[0] / fe.den[0]
+    return ps.fmae["mean"][0] / ps.den
 
 
 def test_criterion_09_faded_error_fixed_point():

@@ -143,7 +143,7 @@ class TestRun:
         pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"], "seeds": 5}},
                      "evaluation.seeds must be a list", id="seeds_not_list"),
         pytest.param(lambda doc: {**doc, "tree": {"warm_start": "x"}},
-                     "bad evaluation section", id="tree_warm_start"),
+                     "bad tree section: unknown key 'warm_start'", id="tree_warm_start"),
         pytest.param(lambda doc: {**doc, "tree": {"delta": None}},
                      "bad tree section", id="tree_null_field"),
         pytest.param(lambda doc: {**doc, "tree": []},
@@ -229,7 +229,7 @@ class TestRun:
                      id="drift_position_fraction"),
         pytest.param(lambda doc: {**doc, "tree": {"warm_start": 2.5},
                                   "evaluation": {**doc["evaluation"], "warm_start": 100}},
-                     "bad evaluation section: must be an integer, got 2.5",
+                     "bad tree section: unknown key 'warm_start'",
                      id="tree_warm_start_fraction"),
         pytest.param(lambda doc: {**doc, "datasets": [
             {"name": "f", "generator": {"family": "friedman_mt", "n_examples": 500}},
@@ -372,13 +372,11 @@ class TestConfigDefaulting:
         assert not hasattr(tree, "ascend_errors")
         assert not hasattr(tree, "warm_start")  # an evaluation setting
 
-        evaluation = parse_evaluation_section({}, {}, base_seed=5)
+        evaluation = parse_evaluation_section({}, base_seed=5)
         assert evaluation.window == 200
         assert evaluation.warm_start == 200
         assert evaluation.repetitions == 30
         assert evaluation.seeds == tuple(range(5, 35))
-        # a JSON tree.warm_start still sets the evaluation default
-        assert parse_evaluation_section({}, {"warm_start": 50}, base_seed=0).warm_start == 50
 
         assert parse_variants(None) == list(Variant)
 
@@ -389,7 +387,7 @@ class TestConfigDefaulting:
 
         tree = parse_tree_section({"grace_period": 1e2}, Variant.MEAN, seed=0)
         assert tree.grace_period == 100 and type(tree.grace_period) is int
-        evaluation = parse_evaluation_section({"window": 5e1, "seeds": [3.0]}, {}, base_seed=0)
+        evaluation = parse_evaluation_section({"window": 5e1, "seeds": [3.0]}, base_seed=0)
         assert (evaluation.window, evaluation.seeds) == (50, (3,))
         spec = parse_generator_spec({"family": "friedman_mt", "n_examples": 1e4,
                                      "drift": {"positions": [5e3]}})
@@ -442,6 +440,23 @@ class TestCompare:
         (out / "d__stacked__seed0.csv").write_text(
             header + "0,1.0,1.0,0.1,100\n")
         assert main(["compare", str(out)]) == 1
+
+    @pytest.mark.parametrize("bad_row, problem", [
+        ("1,x,1.0,0.2,100", "could not convert string to float: 'x'"),
+        ("1,1.0,1.0", "expected 5 fields"),
+        ("1,1.0,1.0,0.2,100,7", "expected 5 fields"),
+    ], ids=["unparsable_cell", "short_row", "long_row"])
+    def test_malformed_report_row_is_one_error_line(self, tmp_path, capsys, bad_row, problem):
+        out = tmp_path / "reports"
+        out.mkdir()
+        header = "window_index,armse,cum_armse,elapsed_s,model_bytes\n"
+        (out / "d__mean__seed0.csv").write_text(
+            header + "0,1.0,1.0,0.1,100\n" + bad_row + "\n")
+        (out / "d__stacked__seed0.csv").write_text(
+            header + "0,1.0,1.0,0.1,100\n1,1.0,1.0,0.2,100\n")
+        assert main(["compare", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {out / 'd__mean__seed0.csv'}, line 3: {problem}\n"
 
     def test_sixteen_blocks_five_algorithms_reproduce_cd(self, tmp_path):
         """Hand-built report matrix: the emitted CD must match the k=5, N=16

@@ -21,7 +21,7 @@ from mtstream.evaluation import (
     write_report_csv,
 )
 from mtstream.schema import Instance, Variant
-from mtstream.streams import GeneratorSpec, make_stream
+from mtstream.streams import ConfigError, GeneratorSpec, make_stream
 from mtstream.tree import MultiTargetHoeffdingTree, TreeConfig
 
 
@@ -40,6 +40,30 @@ class TestArmse:
     def test_zero_count_rejected(self):
         with pytest.raises(EvaluationError):
             armse([1.0], 0)
+
+
+class TestIntegerSettings:
+    """Every config dataclass holds its integer settings to one rule: a
+    `numbers.Integral` that is not a bool."""
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: TreeConfig(grace_period=2.5), ValueError, "grace_period"),
+        (lambda: TreeConfig(seed=1.5), ValueError, "seed"),
+        (lambda: PrequentialConfig(window=2.5), EvaluationError, "window"),
+        (lambda: PrequentialConfig(warm_start=100.5), EvaluationError, "warm_start"),
+        (lambda: PrequentialConfig(seeds=(0, 1.5)), EvaluationError, r"seeds\[1\]"),
+        (lambda: GeneratorSpec("friedman_mt", n_examples=100.5), ConfigError, "n_examples"),
+        (lambda: GeneratorSpec("friedman_mt", n_targets=2.0), ConfigError, "n_targets"),
+        (lambda: GeneratorSpec("friedman_mt", seed=True), ConfigError, "seed"),
+    ], ids=["tree_grace_period", "tree_seed", "window", "warm_start", "seeds",
+            "generator_n_examples", "generator_n_targets", "generator_seed"])
+    def test_non_integers_are_refused(self, make, error, message):
+        with pytest.raises(error, match=f"^{message} must be an integer, got "):
+            make()
+
+    def test_numpy_integers_pass(self):
+        assert TreeConfig(grace_period=np.int64(50)).grace_period == 50
+        assert PrequentialConfig(window=np.int32(5), seeds=(np.int64(3),)).window == 5
 
 
 class TestPrequentialConfig:

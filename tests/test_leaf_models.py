@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from mtstream.leaf_models import FADE_DECAY, FadedError, LeafPredictorSet
+from mtstream.leaf_models import FADE_DECAY, LeafPredictorSet
 from mtstream.schema import Variant
 from mtstream.stats import VectorStats
 from mtstream.streams import GeneratorSpec, make_stream
@@ -40,8 +42,8 @@ def score(ps, **errors):
     ps.score_candidates({name: [-err] * d for name, err in errors.items()}, (0.0,) * d)
 
 
-def faded(fe, t=0):
-    return fe.num[t] / fe.den[t]
+def faded(ps, name, t=0):
+    return ps.fmae[name][t] / ps.den
 
 
 class TestAffinePredict:
@@ -71,7 +73,7 @@ class TestAffinePredict:
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_stacked_layer_reads_the_base_outputs(self):
-        ps = make_set(Variant.STACKED, m=3, d=2, seed=5)
+        ps = make_set(Variant.STACKED_ADAPTIVE, m=3, d=2, seed=5)
         x = np.array([0.3, -1.2, 0.8])
         stats = make_stats(2, [1.0, -2.0], [0.5, 3.0])
         means, sds = stats.target_scales()
@@ -143,39 +145,43 @@ class TestAffineUpdate:
 
 
 class TestFadedError:
-    """Faded errors as `score_candidates` folds them in."""
+    """Faded errors as `score_candidates` folds them into an adaptive leaf."""
 
     def test_first_error_passes_through(self):
-        ps = make_set(Variant.MEAN, d=1)
+        ps = make_set(Variant.ADAPTIVE, d=1)
         score(ps, mean=1.0)
-        assert faded(ps.fmae["mean"]) == 1.0
+        assert faded(ps, "mean") == 1.0
 
     def test_two_step_sequence(self):
-        ps = make_set(Variant.MEAN, d=1)
+        ps = make_set(Variant.ADAPTIVE, d=1)
         score(ps, mean=1.0)
         score(ps, mean=0.0)
-        assert faded(ps.fmae["mean"]) == 0.95 / 1.95
+        assert faded(ps, "mean") == 0.95 / 1.95
 
     def test_constant_error_is_a_fixed_point(self):
-        ps = make_set(Variant.MEAN, d=1)
+        ps = make_set(Variant.ADAPTIVE, d=1)
         for _ in range(500):
             score(ps, mean=0.7)
-        assert faded(ps.fmae["mean"]) == pytest.approx(0.7, abs=1e-12)
+        assert faded(ps, "mean") == pytest.approx(0.7, abs=1e-12)
 
     def test_denominator_bounded_by_twenty(self):
-        ps = make_set(Variant.MEAN, d=2)
+        ps = make_set(Variant.ADAPTIVE, d=2)
         for _ in range(10_000):
             ps.score_candidates({"mean": [0.0, 0.0]}, (1.0, 2.0))
-        assert all(v < 1.0 / (1.0 - FADE_DECAY) for v in ps.fmae["mean"].den)
+        assert ps.den < 1.0 / (1.0 - FADE_DECAY)
 
     def test_unobserved_is_infinite(self):
-        """An unobserved table loses to any finite error, however large."""
+        """Before its first example a leaf reads every error as +inf, a tie
+        the cheapest predictor takes; after it, even a 1e300 error is finite
+        and ranks."""
         ps = make_set(Variant.ADAPTIVE, d=1)
-        score(ps, perceptron=1e300)
         stats = make_stats(1, [0.0], [1.0])
+        assert ps.select_from(ps._candidates([0.0, 0.0], stats)).per_target_source == ("mean",)
+        score(ps, mean=math.inf, perceptron=1e300)
         pred = ps.select_from(ps._candidates([0.0, 0.0], stats))
         assert pred.per_target_source == ("perceptron",)
-        assert FadedError(2).state() == ((0.0, 0.0), (0.0, 0.0))
+        zeros = ((0.0, 0.0), (0.0, 0.0))
+        assert make_set(Variant.ADAPTIVE).state()[3] == (("mean", zeros), ("perceptron", zeros))
 
 
 class TestSelection:
@@ -212,8 +218,7 @@ class TestSelection:
         score(ps, mean=0.5, perceptron=0.2, stacked=0.3)
         before = ps.select_from(ps._candidates([0.1, 0.1], stats)).per_target_source
         for name in ps.fmae:
-            fe = ps.fmae[name]
-            fe.num = [37.5 * v for v in fe.num]  # common positive factor
+            ps.fmae[name] = [37.5 * v for v in ps.fmae[name]]  # common positive factor
         after = ps.select_from(ps._candidates([0.1, 0.1], stats)).per_target_source
         assert before == after == ("perceptron", "perceptron")
 
@@ -226,23 +231,40 @@ class TestSelection:
 
 
 class TestScoredSets:
+    """Only a leaf that chooses per target keeps faded errors: one numerator
+    list per selectable predictor and one shared denominator."""
+
     @pytest.mark.parametrize("variant,expected", [
-        (Variant.MEAN, {"mean"}),
-        (Variant.PERCEPTRON, {"perceptron"}),
+        (Variant.MEAN, set()),
+        (Variant.PERCEPTRON, set()),
         (Variant.ADAPTIVE, {"mean", "perceptron"}),
-        (Variant.STACKED, {"perceptron", "stacked"}),
+        (Variant.STACKED, set()),
         (Variant.STACKED_ADAPTIVE, {"mean", "perceptron", "stacked"}),
     ])
     def test_faded_tables_cover_computed_predictors(self, variant, expected):
         ps = make_set(variant)
         assert set(ps.fmae) == expected
+        assert ps.fade_slots() == (ps.n_targets * len(expected) + 1 if expected else 0)
 
     def test_score_touches_every_table(self):
         ps = make_set(Variant.STACKED_ADAPTIVE)
         stats = make_stats(2, [0.0, 0.0], [1.0, 1.0])
         ps.score_candidates(ps._candidates([0.5, 0.5], stats), (1.0, 2.0))
-        for fe in ps.fmae.values():
-            assert all(v > 0 for v in fe.den)
+        assert ps.den > 0
+        for num in ps.fmae.values():
+            assert all(v > 0 for v in num)
+
+    @pytest.mark.parametrize("variant", [Variant.MEAN, Variant.PERCEPTRON, Variant.STACKED],
+                             ids=lambda v: v.value)
+    def test_fixed_leaf_computes_its_one_predictor_and_scores_nothing(self, variant):
+        ps = make_set(variant)
+        stats = make_stats(2, [0.0, 0.0], [1.0, 1.0])
+        candidates = ps._candidates([0.5, -0.5], stats)
+        assert tuple(candidates) == variant.selectable
+        before = ps.state()
+        ps.score_candidates(candidates, (1.0, 2.0))
+        assert ps.state() == before
+        assert (ps.fmae, ps.den, ps.fade_slots()) == ({}, 0.0, 0)
 
 
 class TestHotPathTypes:
@@ -266,14 +288,15 @@ class TestHotPathTypes:
             assert all(type(v) is float for v in values)
         reference = {
             name: (tuple(0.95 * e + abs(y - p)
-                         for e, y, p in zip(ps.fmae[name].num, probe.targets, pred)),
-                   tuple(0.95 * w + 1.0 for w in ps.fmae[name].den))
+                         for e, y, p in zip(ps.fmae[name], probe.targets, pred)),
+                   (0.95 * ps.den + 1.0,) * ps.n_targets)
             for name, pred in candidates.items()
         }
         ps.score_candidates(candidates, probe.targets)
-        for name, fe in ps.fmae.items():
-            assert all(type(v) is float for v in fe.num + fe.den)
-            assert fe.state() == reference[name]
+        assert type(ps.den) is float
+        for name, state in ps.state()[3]:
+            assert all(type(v) is float for v in ps.fmae[name])
+            assert state == reference[name]
 
 
 class TestInheritance:
@@ -284,7 +307,7 @@ class TestInheritance:
         np.testing.assert_array_equal(child.base, ps.base)
         np.testing.assert_array_equal(child.meta, ps.meta)
         assert child.base is not ps.base
-        assert all(v == 0 for v in child.fmae["mean"].den)
+        assert child.den == 0
 
     def test_child_training_leaves_parent_alone(self):
         ps = make_set(Variant.PERCEPTRON)

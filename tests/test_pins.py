@@ -72,33 +72,33 @@ def report_digest(tmp_dir) -> str:
 
 FULL = {
     ('friedman_mt', 'mean'):
-        '1b2bf430d92698a219600c47f186717c5537c3463df36c95c746501f4901e956',
+        '5fd305517dc76e7952e6238d9f493ffa4545dc8cd5422894ead0de3a2a96cb7e',
     ('friedman_mt', 'perceptron'):
-        'ab6d1a360e8e8aae1d3e6b2f4c430f328ccf7780e549e5bed3b6ed7f101320ee',
+        '1245b7c8bee18affd0ac65cdc70c18c87b4d13732c7099c35fb42fd79f8e5340',
     ('friedman_mt', 'adaptive'):
         'a598f9f049b6126a3c5c8bf4f697df1929b3e2a002db338a8e0f200427e7720f',
     ('friedman_mt', 'stacked'):
-        '1380c57f3a68b5679cac71554db7ebac2be2c9b7103b5c874c06b6f496c20bd6',
+        'ccd3505465536b7f63667c14dc98f69c12366c980cee97eeb4efec3ec3b97692',
     ('friedman_mt', 'stacked_adaptive'):
         'f6def69bd68fa682c594e11642d3e7368ac12aa4388a63746a07e41c57b2d552',
     ('plane_mt', 'mean'):
-        '109ec6e37376237bda633b1dc84a250b1728ef5f4ee157ea055a7aad86985163',
+        'ffe0e8320c64f614031879d14de11c82d3c51fd85733765a94817cab9dd8c316',
     ('plane_mt', 'perceptron'):
-        '2ab9ae8ee9771831ef9f5803a95722574d258da1f710eba6b21f881fc2b8acd8',
+        '899a521e6cf321ae785bbe03a74266c85e28844b1e08569fbd66080f5238102b',
     ('plane_mt', 'adaptive'):
         '78838dd01fd85ebb15a0269356dc28c7d5b5117c8879b0b25eadc2b7e566484d',
     ('plane_mt', 'stacked'):
-        '4f37111fee9e6610f4ed514d11e47391aeea85a1a9de8645cb9ea095c2b6eca2',
+        '1924b7fc9dec0032360587b1b5919402dfece32270cff30a05eb3cfe428d0571',
     ('plane_mt', 'stacked_adaptive'):
         '7fc965487ba3787846c81eea90f66176c2ab2e8c654fa9e84fff80225de36465',
     ('mv_like', 'mean'):
-        '956395bcfd95d2a0e51341cbca05957424f36d8b97b5b93cfbaeb760be7a72ec',
+        '89a7723b9594691ecd50b9b0816c0aa8760ae6ebb43eca0eec511048b6e763bf',
     ('mv_like', 'perceptron'):
-        '2e4f73336f19fb93e79741c49ce121bc1361bc06264f78869f969e3f32e8996d',
+        'd64bda0ef3a53f4e4a1eee264c3a41a24b318bde674c0a6c2370486e44bfc883',
     ('mv_like', 'adaptive'):
         'c5542872e5d2a4266b1070882d7d53e85f013436fa770f6986e8bc5f1d4a96ab',
     ('mv_like', 'stacked'):
-        '687e7f5560dd8e18fb95aa9cf312b2aa99a83dd6ccfd334342ab49ae6a5c590d',
+        '0f9917b699c1d26e8d05c44961df833f14b1cfe57a3e62b16cf8a0d20efdd8e3',
     ('mv_like', 'stacked_adaptive'):
         '12670309f5542ff7ddb359ae561469bf01483a4de5ed408b47756f24600dcab5',
 }
@@ -112,7 +112,7 @@ SKELETON = {
         'b6e01fe2d09bb613cc5da4a463e58025abdb580d959f86ecd3c7d4872dea7aae',
 }
 
-REPORT = '770032dd986b3dfb641ad04bb24c3bce46dfba58d9401a74fc0126d4d0be8f6f'
+REPORT = 'd90c43ce06ab97fa16530bf9aef6ca6e2f34e12e418ed519b229ddc772713957'
 
 
 @pytest.mark.parametrize("family", FAMILIES)

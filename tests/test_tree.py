@@ -341,7 +341,7 @@ class TestSplitting:
                 captured["meta"] = leaf.predictors.meta.copy()
                 super()._execute_split(leaf, winner, parent, child_index)
 
-        tree = Spy(numeric_schema(4, 2), TreeConfig(variant=Variant.STACKED, seed=0))
+        tree = Spy(numeric_schema(4, 2), TreeConfig(variant=Variant.STACKED_ADAPTIVE, seed=0))
         for inst in step_instances(5000, seed=1):
             tree.learn(inst)
             if tree.split_count == 1:
@@ -350,7 +350,7 @@ class TestSplitting:
         for child in tree.root.children:
             np.testing.assert_array_equal(child.predictors.base, captured["base"])
             np.testing.assert_array_equal(child.predictors.meta, captured["meta"])
-            assert all(v == 0 for fe in child.predictors.fmae.values() for v in fe.den)
+            assert child.predictors.den == 0
 
     def test_children_seeded_with_branch_target_stats(self):
         tree = grown_tree(step_instances(5000, d=1), numeric_schema(4, 1),
@@ -409,18 +409,21 @@ class TestModelSize:
         for m, d in ((2, 1), (5, 3), (10, 4)):
             tree = MultiTargetHoeffdingTree(numeric_schema(m, d),
                                             TreeConfig(variant=Variant.MEAN))
-            # node overhead 4 + counters 4 + 3 slots per target stat and
-            # numeric feature stat + faded table (2 per target), 8 bytes each
-            assert tree.model_size_bytes() == 8 * (4 + 4 + 3 * d + 3 * m + 2 * d)
+            # node overhead 4 + counters 3 + 3 slots per target stat and
+            # numeric feature stat, 8 bytes each; a mean leaf keeps no faded
+            # errors
+            assert tree.model_size_bytes() == 8 * (4 + 3 + 3 * d + 3 * m)
 
     def test_stacked_minus_perceptron_is_meta_layer_plus_its_faded_table(self):
         instances = step_instances(5000, m=4, d=3, seed=5)
         schema = numeric_schema(4, 3)
-        stacked = grown_tree(instances, schema, variant=Variant.STACKED, seed=1)
-        perceptron = grown_tree(instances, schema, variant=Variant.PERCEPTRON, seed=1)
+        # the adaptive forms: their faded tables share one denominator, so
+        # the stacked predictor adds one numerator per target
+        stacked = grown_tree(instances, schema, variant=Variant.STACKED_ADAPTIVE, seed=1)
+        perceptron = grown_tree(instances, schema, variant=Variant.ADAPTIVE, seed=1)
         assert stacked.leaf_count == perceptron.leaf_count
         d = 3
-        per_leaf = 8 * (d * (d + 1) + 2 * d)
+        per_leaf = 8 * (d * (d + 1) + d)
         assert stacked.model_size_bytes() - perceptron.model_size_bytes() \
             == stacked.leaf_count * per_leaf
 
@@ -521,8 +524,8 @@ class TestMemoryLayout:
             home = tree.route(inst)
             routed.setdefault(home, []).append((x, w))
             tree.learn(inst)
-            if home.since_attempt == 0:  # an attempt folded the pending block
-                folded[home] = len(routed[home])
+            if home.examples_seen % tree.config.grace_period == 0:
+                folded[home] = len(routed[home])  # an attempt folded the pending block
 
             nodes = tree.leaf_count + tree.split_count
             slots = 4 * nodes + (nodes - 1)  # node overhead, child links
@@ -532,11 +535,10 @@ class TestMemoryLayout:
                             for k in (0, 1)]
                 assert [leaf.observers[0].distinct_keys, leaf.observers[2].distinct_keys] \
                     == expected
-                # counters, target and numeric feature stats, observers, and
-                # the mean predictor's faded table
-                slots += 4 + 3 * d + 3 * n_numeric
+                # counters, target and numeric feature stats, and observers;
+                # a mean leaf keeps no faded errors
+                slots += 3 + 3 * d + 3 * n_numeric
                 slots += (2 + 2 * d) * sum(expected) + (1 + 2 * d) * n_categories
-                slots += 2 * d
             assert tree.model_size_bytes() == 8 * slots
 
 
