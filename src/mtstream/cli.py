@@ -20,7 +20,7 @@ import re
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 from .evaluation import (
@@ -32,10 +32,9 @@ from .evaluation import (
     run_prequential,
     write_report_csv,
 )
-from .schema import SchemaError, Variant
+from .schema import SETTING, SchemaError, Setting, Variant
 from .streams import (
     ConfigError,
-    DriftSpec,
     GeneratorSpec,
     make_stream,
     read_csv,
@@ -79,64 +78,46 @@ def _expect(value, kind: type | tuple, what: str):
     return value
 
 
-def _float(value) -> float:
-    """float(value) for a JSON number, refusing the booleans and numeric
-    strings that float() would silently accept."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"must be a number, got {value!r}")
-    return float(value)
+def _from_json(value, declared: Setting):
+    """`value` as a setting of the `declared` kind. JSON has no tuple and no
+    integral float, so a list becomes a tuple, an integral float such as 1e4
+    becomes an int in an integer setting, and an object becomes the nested
+    config dataclass. Every other value passes as it is, for the config
+    dataclass to check."""
+    if declared.kind is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if declared.kind is tuple and isinstance(value, list):
+        return tuple(_from_json(item, declared.items) for item in value)
+    if is_dataclass(declared.kind) and isinstance(value, dict):
+        return declared.kind(**_settings(declared.kind, value))
+    return value
 
 
-def _int(value) -> int:
-    """int(value) for a JSON number, refusing what int() would silently
-    accept or truncate: booleans, numeric strings and non-integral numbers.
-    Integral floats such as 1e4 pass."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"must be an integer, got {value!r}")
-    if not isinstance(value, (int, float)):
-        raise ValueError(f"must be a number, got {value!r}")
-    return int(value)
-
-
-def _settings(doc: dict, convert: dict) -> dict:
-    """The keys `doc` sets, each passed through `convert[key]`; the config
-    dataclass supplies every default. Any other key is a ValueError naming
-    it."""
+def _settings(cls, doc: dict, fixed=()) -> dict:
+    """The settings that `doc` gives for the config dataclass `cls`, each
+    read by its field's declaration; the dataclass supplies every default.
+    A key that names no field of `cls`, or one in `fixed`, is a ValueError
+    naming it."""
+    declared = {f.name: f.metadata[SETTING] for f in fields(cls) if f.name not in fixed}
     settings = {}
     for key, value in doc.items():
-        if key in convert:
-            try:
-                settings[key] = convert[key](value)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{key}: {exc}") from exc
-        else:
+        if key not in declared:
             raise ValueError(f"unknown key {key!r}")
+        try:
+            settings[key] = _from_json(value, declared[key])
+        except (TypeError, ValueError) as exc:  # from a nested config
+            raise ValueError(f"{key}: {exc}") from exc
     return settings
-
-
-def _drift(doc) -> DriftSpec | None:
-    if doc is None:
-        return None
-    return DriftSpec(**_settings(_expect(doc, dict, "generator drift"), {
-        "positions": lambda ps: tuple(map(_int, ps)), "mode": str}))
-
-
-_GENERATOR_SETTINGS = {
-    "family": str, "n_examples": _int, "n_targets": _int, "noise_sd": _float, "seed": _int,
-    "drift": _drift,
-    "target_affine": lambda pairs: (tuple((_float(a), _float(b)) for a, b in pairs)
-                                    if pairs else None),
-}
 
 
 def parse_generator_spec(doc: dict, seed_override: int | None = None) -> GeneratorSpec:
     _expect(doc, dict, "generator spec")
     try:
-        settings = _settings(doc, _GENERATOR_SETTINGS)
+        settings = _settings(GeneratorSpec, doc)
         if seed_override is not None:
             settings["seed"] = seed_override
         return GeneratorSpec(**settings)
-    except (ConfigError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"bad generator spec: {exc}") from exc
 
 
@@ -158,25 +139,17 @@ def parse_variants(names) -> list[Variant]:
     return out
 
 
-_TREE_SETTINGS = {"delta": _float, "tau": _float, "grace_period": _int, "learning_rate": _float}
-
-
 def parse_tree_section(doc: dict, variant: Variant, seed: int) -> TreeConfig:
     """Omitted fields take the TreeConfig defaults, the benchmark settings."""
     _expect(doc, dict, "tree section")
     try:
-        return TreeConfig(variant=variant, seed=seed, **_settings(doc, _TREE_SETTINGS))
+        return TreeConfig(variant=variant, seed=seed,
+                          **_settings(TreeConfig, doc, fixed=("variant", "seed")))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad tree section: {exc}") from exc
 
 
-def _seeds(seeds) -> tuple[int, ...] | None:
-    if seeds is None:
-        return None
-    return tuple(map(_int, _expect(seeds, list, "evaluation.seeds")))
-
-
-_EVALUATION_SETTINGS = {"window": _int, "warm_start": _int, "repetitions": _int, "seeds": _seeds}
+_REPETITIONS = Setting(int, low=1)
 
 
 def parse_evaluation_section(doc: dict, base_seed: int) -> PrequentialConfig:
@@ -184,15 +157,18 @@ def parse_evaluation_section(doc: dict, base_seed: int) -> PrequentialConfig:
     seeds, `repetitions` (30 by default) seeds count up from `base_seed`."""
     _expect(doc, dict, "evaluation section")
     try:
-        settings = _settings(doc, _EVALUATION_SETTINGS)
-        repetitions = settings.pop("repetitions", 30)
+        repetitions = _from_json(doc.get("repetitions", 30), _REPETITIONS)
+        _REPETITIONS.check("repetitions", repetitions, EvaluationError)
+        settings = _settings(PrequentialConfig,
+                             {k: v for k, v in doc.items() if k != "repetitions"})
         if settings.get("seeds") is None:
-            settings["seeds"] = tuple(base_seed + i for i in range(repetitions))
-        elif "repetitions" in doc and len(settings["seeds"]) != repetitions:
-            raise UsageError("evaluation.seeds length must equal evaluation.repetitions")
-        return PrequentialConfig(**settings)
+            settings["seeds"] = tuple(range(base_seed, base_seed + repetitions))
+        config = PrequentialConfig(**settings)
     except (EvaluationError, TypeError, ValueError) as exc:
         raise UsageError(f"bad evaluation section: {exc}") from exc
+    if "repetitions" in doc and config.repetitions != repetitions:
+        raise UsageError("evaluation.seeds length must equal evaluation.repetitions")
+    return config
 
 
 def _file_name(name, what: str) -> str:
@@ -337,7 +313,7 @@ def _aggregate(reports: list[WindowedReport]):
 def _comparison_from_curves(curves: dict):
     """Rank algorithms per block: blocks are datasets when several exist
     (statistic: summed seed-averaged window error), otherwise the single
-    dataset's windows."""
+    dataset's windows. None below two algorithms or two blocks."""
     datasets = sorted({d for d, _ in curves})
     variants = sorted({v for _, v in curves})
     if len(variants) < 2:
@@ -358,6 +334,8 @@ def _comparison_from_curves(curves: dict):
         if len(lengths) != 1:
             raise EvaluationError(f"misaligned windows across variants for {d!r}")
         n_windows = lengths.pop()
+        if n_windows < 2:
+            return None
         matrix = [
             [curves[(d, v)][w] for v in variants]
             for w in range(n_windows)
@@ -365,7 +343,9 @@ def _comparison_from_curves(curves: dict):
     return friedman_nemenyi(variants, matrix)
 
 
-def _write_summary(reports: list[WindowedReport], out_dir: Path) -> None:
+def _write_summary(reports: list[WindowedReport], out_dir: Path):
+    """Write summary.csv, and the comparison files when the reports make a
+    comparison; returns the comparison or None."""
     import csv as _csv
 
     stats_rows, curves = _aggregate(reports)
@@ -391,7 +371,7 @@ def _write_summary(reports: list[WindowedReport], out_dir: Path) -> None:
             ])
 
     if comparison is None:
-        return
+        return None
     with open(out_dir / "comparison.csv", "w", encoding="utf-8", newline="") as fh:
         writer = _csv.writer(fh)
         writer.writerow(["algorithm", "average_rank", "critical_difference",
@@ -402,6 +382,7 @@ def _write_summary(reports: list[WindowedReport], out_dir: Path) -> None:
                              repr(comparison.p_value), comparison.reject])
     with open(out_dir / "comparison.txt", "w", encoding="utf-8") as fh:
         fh.write(_comparison_text(comparison))
+    return comparison
 
 
 def _comparison_text(c) -> str:
@@ -440,15 +421,13 @@ def cmd_compare(args) -> int:
                                       int(m.group("seed")), rows=read_report_csv(path)))
     if not reports:
         raise UsageError(f"no report files matching NAME__VARIANT__seedN.csv in {report_dir}")
-    variants = {r.variant for r in reports}
-    if len(variants) < 2:
-        raise UsageError("compare needs reports from at least two algorithms")
-
     out_dir = _resolve_out_dir(args.out, str(report_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_summary(reports, out_dir)
-    with open(out_dir / "comparison.txt", "r", encoding="utf-8") as fh:
-        print(fh.read())
+    comparison = _write_summary(reports, out_dir)
+    if comparison is None:
+        raise UsageError("compare needs reports from at least two algorithms, over two "
+                         "datasets or two windows of one dataset")
+    print(_comparison_text(comparison))
     return 0
 
 

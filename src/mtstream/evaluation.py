@@ -18,7 +18,7 @@ from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
-from .schema import check_integers
+from .schema import Setting, check_settings, setting
 from .tree import MultiTargetHoeffdingTree, TreeConfig
 
 
@@ -40,19 +40,12 @@ class PrequentialConfig:
     seeds: the repetitions `mtstream run` makes, one distinct tree seed each.
     `run_prequential` runs one repetition and does not read `seeds`."""
 
-    window: int = 200
-    warm_start: int = 200
-    seeds: tuple[int, ...] = (0,)
+    window: int = setting(int, 200, low=1)
+    warm_start: int = setting(int, 200, low=0)
+    seeds: tuple[int, ...] = setting(tuple, (0,), low=1, items=Setting(int, low=0))
 
     def __post_init__(self):
-        check_integers(EvaluationError, window=self.window, warm_start=self.warm_start,
-                       **{f"seeds[{i}]": seed for i, seed in enumerate(self.seeds)})
-        if self.window < 1:
-            raise EvaluationError("window must be >= 1")
-        if self.warm_start < 0:
-            raise EvaluationError("warm_start must be >= 0")
-        if not self.seeds or min(self.seeds) < 0:
-            raise EvaluationError(f"at least one seed is required, each >= 0: {self.seeds}")
+        check_settings(self, EvaluationError)
         if len(set(self.seeds)) != len(self.seeds):
             raise EvaluationError(f"seeds must be unique: {self.seeds}")
 
@@ -122,6 +115,7 @@ def run_prequential(source, tree_config: TreeConfig,
 
     report = WindowedReport(dataset=dataset, variant=tree_config.variant.value,
                             seed=tree_config.seed)
+    cell = f"dataset {dataset!r}, variant {report.variant}, seed {report.seed}"
     elapsed = 0.0
     cum_sq = [0.0] * d
     win_sq = [0.0] * d
@@ -132,10 +126,14 @@ def run_prequential(source, tree_config: TreeConfig,
 
     def flush():
         nonlocal window_index, in_window, win_sq
+        cum_armse = armse(cum_sq, evaluated)
+        if not isfinite(cum_armse):  # each squared error is finite, but not their sum
+            raise EvaluationError(f"{cell}: the squared errors up to example {index} "
+                                  "sum beyond the float range")
         report.rows.append(WindowRow(
             window_index=window_index,
             armse=armse(win_sq, in_window),
-            cum_armse=armse(cum_sq, evaluated),
+            cum_armse=cum_armse,
             elapsed_s=elapsed,
             model_bytes=tree.model_size_bytes(),
         ))
@@ -164,10 +162,8 @@ def run_prequential(source, tree_config: TreeConfig,
         if sqs is None or not isfinite(sum(sqs)):
             if not all(map(isfinite, y)):
                 continue  # non-finite target: rejected by the tree, not evaluated
-            raise EvaluationError(
-                f"dataset {dataset!r}, variant {report.variant}, seed {report.seed}: "
-                f"example {index} has finite targets but the prediction "
-                f"{tuple(p)} has a non-finite squared error")
+            raise EvaluationError(f"{cell}: example {index} has finite targets but the "
+                                  f"prediction {tuple(p)} has a non-finite squared error")
         for t in targets_range:
             cum_sq[t] += sqs[t]
             win_sq[t] += sqs[t]
@@ -177,7 +173,7 @@ def run_prequential(source, tree_config: TreeConfig,
             flush()
 
     if index < 0:
-        raise EvaluationError("stream was empty")
+        raise EvaluationError(f"{cell}: stream was empty")
     if in_window > 0:
         flush()
 
@@ -199,8 +195,9 @@ def write_report_csv(report: WindowedReport, path) -> None:
 
 
 def read_report_csv(path) -> list[WindowRow]:
-    """The rows of a report CSV. Other columns, a row of another length or a
-    cell that does not parse raise EvaluationError naming the file and line."""
+    """The rows of a report CSV. Other columns, a row of another length, a
+    cell that does not parse or a non-finite metric raise EvaluationError
+    naming the file and line."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -211,13 +208,17 @@ def read_report_csv(path) -> list[WindowRow]:
                 # DictReader pads a short row with None and keys a long row's rest by None
                 if None in rec or None in rec.values():
                     raise ValueError(f"expected {len(REPORT_COLUMNS)} fields")
-                rows.append(WindowRow(
+                row = WindowRow(
                     window_index=int(rec["window_index"]),
                     armse=float(rec["armse"]),
                     cum_armse=float(rec["cum_armse"]),
                     elapsed_s=float(rec["elapsed_s"]),
                     model_bytes=int(rec["model_bytes"]),
-                ))
+                )
+                for name in ("armse", "cum_armse", "elapsed_s"):
+                    if not math.isfinite(getattr(row, name)):
+                        raise ValueError(f"{name} must be finite, got {rec[name]!r}")
+                rows.append(row)
             except ValueError as exc:
                 raise EvaluationError(f"{path}, line {reader.line_num}: {exc}") from exc
     return rows

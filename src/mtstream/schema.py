@@ -4,24 +4,77 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from numbers import Integral
+import sys
+from dataclasses import MISSING, dataclass, field, fields
+from numbers import Integral, Real
 
 
 class SchemaError(ValueError):
     """Configuration error: instance or stream does not match the declared schema."""
 
 
-def is_integer(value) -> bool:
-    """An integer setting is a `numbers.Integral` that is not a bool."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
+SETTING = "setting"  # the field-metadata key of a setting's declaration
 
 
-def check_integers(error: type, **settings) -> None:
-    """Raise `error` naming the first of `settings` that is not an integer."""
-    for name, value in settings.items():
-        if not is_integer(value):
-            raise error(f"{name} must be an integer, got {value!r}")
+@dataclass(frozen=True)
+class Setting:
+    """The declared kind and range of one config setting. `kind` is `int`
+    (an integer), `float` (a finite number), `tuple` (a tuple of `items`
+    settings), a class such as `Variant`, or a tuple of the allowed values;
+    a bool is neither an integer nor a number. A number, or a tuple's
+    length, lies in [low, high], or in (low, high) when `open`. An
+    `optional` setting may also be None."""
+
+    kind: object
+    low: float = -math.inf
+    high: float = math.inf
+    open: bool = False
+    items: Setting | None = None
+    optional: bool = False
+
+    def check(self, name: str, value, error: type) -> None:
+        """Raise `error` naming `name` unless `value` is of this kind and in
+        this range."""
+        if value is None and self.optional:
+            return
+        kind = self.kind
+        number = isinstance(value, Real) and not isinstance(value, bool)
+        if kind is int:
+            ok, what = number and isinstance(value, Integral), "an integer"
+        elif kind is float:  # the comparison also refuses NaN and ints beyond a float
+            ok, what = number and abs(value) <= sys.float_info.max, "a finite number"
+        elif isinstance(kind, tuple):
+            ok, what = value in kind, "one of " + ", ".join(map(repr, kind))
+        else:
+            ok, what = isinstance(value, kind), f"a {kind.__name__}"
+        if not ok:
+            raise error(f"{name} must be {what}{' or None' if self.optional else ''}, "
+                        f"got {value!r}")
+        size = len(value) if kind is tuple else value
+        if kind in (int, float, tuple) and not (
+                self.low < size < self.high if self.open else self.low <= size <= self.high):
+            below, above = ("> ", "< ") if self.open else (">= ", "<= ")
+            bounds = below + f"{self.low:g}" + (
+                f" and {above}{self.high:g}" if self.high < math.inf else "")
+            wording = f"have {bounds} items" if kind is tuple else f"be {bounds}"
+            raise error(f"{name} must {wording}, got {value!r}")
+        for i, item in enumerate(value if kind is tuple else ()):
+            self.items.check(f"{name}[{i}]", item, error)
+
+
+def setting(kind, default=MISSING, **declared):
+    """A config dataclass field declared as a `Setting` of `kind`; one whose
+    default is None is optional."""
+    return field(default=default, metadata={
+        SETTING: Setting(kind, optional=default is None, **declared)})
+
+
+def check_settings(config, error: type) -> None:
+    """Raise `error` naming the first declared setting of the config
+    dataclass `config` that is not of its kind or lies outside its range."""
+    for f in fields(config):
+        if SETTING in f.metadata:
+            f.metadata[SETTING].check(f.name, getattr(config, f.name), error)
 
 
 NUMERIC = "numeric"

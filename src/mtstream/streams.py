@@ -28,10 +28,11 @@ from .schema import (
     FeatureSpec,
     Instance,
     SchemaError,
+    Setting,
     StreamSchema,
-    check_integers,
-    is_integer,
+    check_settings,
     numeric_schema,
+    setting,
 )
 
 _BLOCK = 2048  # vectorized generation block size
@@ -55,44 +56,33 @@ class DriftSpec:
     switch input roles. Synchronous mode uses one shared position; the
     asynchronous mode needs one position per target."""
 
-    positions: tuple[int, ...]
-    mode: str = SYNC
+    positions: tuple[int, ...] = setting(tuple, low=1, items=Setting(int))
+    mode: str = setting((SYNC, ASYNC), SYNC)
 
     def __post_init__(self):
-        if self.mode not in (SYNC, ASYNC):
-            raise ConfigError(f"unknown drift mode {self.mode!r}")
+        check_settings(self, ConfigError)
         if self.mode == SYNC and len(self.positions) != 1:
             raise ConfigError("synchronous drift takes exactly one position")
-        if not self.positions:
-            raise ConfigError("drift needs at least one position")
-        if not all(map(is_integer, self.positions)):
-            raise ConfigError(f"drift positions must be integers, got {self.positions}")
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    family: str  # friedman_mt | plane_mt | mv_like
-    n_examples: int = 10_000
-    n_targets: int = 2
-    noise_sd: float = 1.0
-    seed: int = 0
-    drift: DriftSpec | None = None
+    family: str = setting(("friedman_mt", "plane_mt", "mv_like"))
+    n_examples: int = setting(int, 10_000, low=1)
+    n_targets: int = setting(int, 2, low=1)
+    noise_sd: float = setting(float, 1.0, low=0.0)
+    seed: int = setting(int, 0, low=0)
+    drift: DriftSpec | None = setting(DriftSpec, None)
     # optional explicit per-target (a, b) coefficients; drawn from the seed
     # when omitted
-    target_affine: tuple[tuple[float, float], ...] | None = None
+    target_affine: tuple[tuple[float, float], ...] | None = setting(
+        tuple, None, items=Setting(tuple, items=Setting(float)))
 
     def __post_init__(self):
-        if self.family not in ("friedman_mt", "plane_mt", "mv_like"):
-            raise ConfigError(f"unknown generator family {self.family!r}")
-        check_integers(ConfigError, n_examples=self.n_examples, n_targets=self.n_targets,
-                       seed=self.seed)
-        if self.n_examples < 1 or self.n_targets < 1:
-            raise ConfigError("n_examples and n_targets must be positive")
-        if self.noise_sd < 0:
-            raise ConfigError("noise_sd must be >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.target_affine is not None and len(self.target_affine) != self.n_targets:
+        check_settings(self, ConfigError)
+        affine = self.target_affine
+        if affine is not None and (len(affine) != self.n_targets
+                                   or any(len(pair) != 2 for pair in affine)):
             raise ConfigError("target_affine needs one (a, b) pair per target")
         if self.drift is not None:
             if self.family != "friedman_mt":
@@ -316,8 +306,14 @@ class CsvSchemaDecl:
     sets, target columns, and opt-in sentinel-to-missing rules per column."""
 
     schema: StreamSchema
-    sentinel_value: float | None = None
+    sentinel_value: float | None = setting(float, None)
     sentinel_columns: frozenset[str] = frozenset()
+
+    def __post_init__(self):
+        check_settings(self, SchemaError)
+        unknown = self.sentinel_columns - {f.name for f in self.schema.features}
+        if unknown:
+            raise SchemaError(f"sentinel_columns name unknown features: {sorted(unknown)}")
 
     @classmethod
     def from_dict(cls, decl: dict) -> "CsvSchemaDecl":
@@ -334,20 +330,11 @@ class CsvSchemaDecl:
                 for f in decl["features"]
             )
             targets = _names(decl["targets"], "targets")
-            sentinel = decl.get("sentinel_value")
             columns = frozenset(_names(decl.get("sentinel_columns", ()), "sentinel_columns"))
-        except (KeyError, TypeError) as exc:
+            return cls(schema=StreamSchema(features=features, targets=targets),
+                       sentinel_value=decl.get("sentinel_value"), sentinel_columns=columns)
+        except (KeyError, TypeError, SchemaError) as exc:
             raise SchemaError(f"bad schema declaration: {exc}") from exc
-        if sentinel is not None and not _finite_number(sentinel):
-            raise SchemaError(
-                f"bad schema declaration: sentinel_value must be a finite number or null, "
-                f"got {sentinel!r}")
-        schema = StreamSchema(features=features, targets=targets)
-        known = {f.name for f in features}
-        unknown = columns - known
-        if unknown:
-            raise SchemaError(f"sentinel_columns name unknown features: {sorted(unknown)}")
-        return cls(schema=schema, sentinel_value=sentinel, sentinel_columns=columns)
 
     def to_dict(self) -> dict:
         out = {
@@ -461,18 +448,8 @@ def _names(value, what: str) -> tuple[str, ...]:
     """`value` as a tuple of strings; a string or any other non-list is a
     SchemaError rather than a sequence of characters."""
     if not (isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)):
-        raise SchemaError(f"bad schema declaration: {what} must be a list of strings, "
-                          f"got {value!r}")
+        raise SchemaError(f"{what} must be a list of strings, got {value!r}")
     return tuple(value)
-
-
-def _finite_number(value) -> bool:
-    """True for a number that a float holds as a finite value; a bool is not
-    a number here."""
-    try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        return False
 
 
 def _parses_as(raw: str, sentinel: float) -> bool:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .leaf_models import LeafPredictorSet
 from .observers import EBSTObserver, NominalObserver, ParentStats, moment_block
-from .schema import NOMINAL, Instance, Prediction, StreamSchema, Variant, check_integers
+from .schema import NOMINAL, Instance, Prediction, StreamSchema, Variant, check_settings, setting
 from .splitting import MeritRatio, decide_split
 from .stats import RunningStats, VectorStats
 
@@ -42,31 +42,19 @@ _NAN = math.nan  # a missing value in a leaf's pending feature buffer
 class TreeConfig:
     """Tree hyperparameters: `delta` is the confidence of the split bound,
     `tau` its tie-break threshold and `grace_period` the examples a leaf
-    learns between split attempts. Defaults are the benchmark settings: split
-    attempts every 200 examples, confidence 1e-7, tie-break 0.05, learning
-    rate 0.01, weights drawn uniformly from [-1, 1]. Invalid values raise
-    ValueError here, not when a tree is built.
-    """
+    learns between split attempts; leaf weights start uniform in [-1, 1].
+    The defaults are the benchmark settings. A value outside its declared
+    kind or range raises ValueError here, not when a tree is built."""
 
-    variant: Variant = Variant.STACKED_ADAPTIVE
-    delta: float = 1e-7
-    tau: float = 0.05
-    grace_period: int = 200
-    learning_rate: float = 0.01
-    seed: int = 0
+    variant: Variant = setting(Variant, Variant.STACKED_ADAPTIVE)
+    delta: float = setting(float, 1e-7, low=0.0, high=1.0, open=True)
+    tau: float = setting(float, 0.05, low=0.0)
+    grace_period: int = setting(int, 200, low=1)
+    learning_rate: float = setting(float, 0.01, low=0.0, open=True)
+    seed: int = setting(int, 0, low=0)
 
     def __post_init__(self):
-        check_integers(ValueError, grace_period=self.grace_period, seed=self.seed)
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not self.tau >= 0.0:  # also rejects NaN
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
-        if self.grace_period < 1:
-            raise ValueError(f"grace_period must be >= 1, got {self.grace_period}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_settings(self, ValueError)
 
 
 class SplitNode:

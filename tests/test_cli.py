@@ -1,7 +1,16 @@
+import copy
 import csv
+import io
 import json
+import math
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mtstream.cli import main
 from mtstream.evaluation import friedman_nemenyi
@@ -141,7 +150,8 @@ class TestRun:
         pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"], "seeds": ["a"]}},
                      "bad evaluation section", id="seed_not_int"),
         pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"], "seeds": 5}},
-                     "evaluation.seeds must be a list", id="seeds_not_list"),
+                     "bad evaluation section: seeds must be a tuple, got 5",
+                     id="seeds_not_list"),
         pytest.param(lambda doc: {**doc, "tree": {"warm_start": "x"}},
                      "bad tree section: unknown key 'warm_start'", id="tree_warm_start"),
         pytest.param(lambda doc: {**doc, "tree": {"delta": None}},
@@ -158,7 +168,8 @@ class TestRun:
                      "generator spec must be an object", id="generator_not_object"),
         pytest.param(lambda doc: {**doc, "datasets": [{"name": "toy", "generator": {
             "family": "friedman_mt", "drift": [100]}}]},
-                     "generator drift must be an object", id="drift_not_object"),
+                     "bad generator spec: drift must be a DriftSpec or None, got [100]",
+                     id="drift_not_object"),
         pytest.param(lambda doc: {**doc, "variants": "mean"},
                      "variants must be a list", id="variants_not_list"),
         pytest.param(lambda doc: {**doc, "output_dir": 5},
@@ -190,30 +201,31 @@ class TestRun:
         pytest.param(_csv_entry("short.csv", schema={
             "features": [{"name": "x1"}], "targets": ["y"],
             "sentinel_value": "abc", "sentinel_columns": ["x1"]}),
-                     "sentinel_value must be a finite number or null, got 'abc'",
+                     "sentinel_value must be a finite number or None, got 'abc'",
                      id="csv_sentinel_value_string"),
         pytest.param(lambda doc: {**doc, "datasets": [{"name": "toy", "generator": {
             "family": "friedman_mt", "seed": -1}}]},
                      "seed must be >= 0, got -1", id="generator_seed_negative"),
         pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"], "seeds": [-1]}},
-                     "each >= 0", id="seed_negative"),
+                     "bad evaluation section: seeds[0] must be >= 0, got -1",
+                     id="seed_negative"),
         pytest.param(lambda doc: {**doc, "tree": {"grace_period": 2.5}},
-                     "bad tree section: grace_period: must be an integer, got 2.5",
+                     "bad tree section: grace_period must be an integer, got 2.5",
                      id="grace_period_fraction"),
         pytest.param(lambda doc: {**doc, "tree": {"grace_period": True}},
-                     "bad tree section: grace_period: must be an integer, got True",
+                     "bad tree section: grace_period must be an integer, got True",
                      id="grace_period_bool"),
         pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"], "window": 2.5}},
-                     "bad evaluation section: window: must be an integer, got 2.5",
+                     "bad evaluation section: window must be an integer, got 2.5",
                      id="window_fraction"),
         pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"], "seeds": [1.7]}},
-                     "bad evaluation section: seeds: must be an integer, got 1.7",
+                     "bad evaluation section: seeds[0] must be an integer, got 1.7",
                      id="seed_fraction"),
         pytest.param(lambda doc: _with_generator(doc, n_examples=99.9),
-                     "bad generator spec: n_examples: must be an integer, got 99.9",
+                     "bad generator spec: n_examples must be an integer, got 99.9",
                      id="n_examples_fraction"),
         pytest.param(lambda doc: _with_generator(doc, n_targets=True),
-                     "bad generator spec: n_targets: must be an integer, got True",
+                     "bad generator spec: n_targets must be an integer, got True",
                      id="n_targets_bool"),
         pytest.param(lambda doc: {**doc, "tree": {"grace_perod": 100}},
                      "bad tree section: unknown key 'grace_perod'", id="tree_unknown_key"),
@@ -225,7 +237,7 @@ class TestRun:
         pytest.param(lambda doc: _with_generator(doc, drift={"positions": [250], "at": 3}),
                      "bad generator spec: drift: unknown key 'at'", id="drift_unknown_key"),
         pytest.param(lambda doc: _with_generator(doc, drift={"positions": [250.5]}),
-                     "bad generator spec: drift: positions: must be an integer, got 250.5",
+                     "bad generator spec: drift: positions[0] must be an integer, got 250.5",
                      id="drift_position_fraction"),
         pytest.param(lambda doc: {**doc, "tree": {"warm_start": 2.5},
                                   "evaluation": {**doc["evaluation"], "warm_start": 100}},
@@ -248,30 +260,30 @@ class TestRun:
         pytest.param(_named(""), "got ''", id="dataset_name_empty"),
         pytest.param(_named(".."), "got '..'", id="dataset_name_dotdot"),
         pytest.param(lambda doc: {**doc, "tree": {"tau": True}},
-                     "bad tree section: tau: must be a number, got True", id="tau_bool"),
+                     "bad tree section: tau must be a finite number, got True", id="tau_bool"),
         pytest.param(lambda doc: {**doc, "tree": {"delta": "1e-7"}},
-                     "bad tree section: delta: must be a number, got '1e-7'",
+                     "bad tree section: delta must be a finite number, got '1e-7'",
                      id="delta_string"),
         pytest.param(lambda doc: {**doc, "tree": {"learning_rate": "0.01"}},
-                     "bad tree section: learning_rate: must be a number, got '0.01'",
+                     "bad tree section: learning_rate must be a finite number, got '0.01'",
                      id="learning_rate_string"),
         pytest.param(lambda doc: {**doc, "tree": {"grace_period": "200"}},
-                     "bad tree section: grace_period: must be a number, got '200'",
+                     "bad tree section: grace_period must be an integer, got '200'",
                      id="grace_period_string"),
         pytest.param(lambda doc: _with_generator(doc, noise_sd="2"),
-                     "bad generator spec: noise_sd: must be a number, got '2'",
+                     "bad generator spec: noise_sd must be a finite number, got '2'",
                      id="noise_sd_string"),
         pytest.param(lambda doc: _with_generator(doc, n_examples="500"),
-                     "bad generator spec: n_examples: must be a number, got '500'",
+                     "bad generator spec: n_examples must be an integer, got '500'",
                      id="n_examples_string"),
         pytest.param(lambda doc: _with_generator(doc, target_affine=[[True, "1"], [1, 2]]),
-                     "bad generator spec: target_affine: must be a number, got True",
+                     "bad generator spec: target_affine[0][0] must be a finite number, got True",
                      id="target_affine_bool"),
         pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"], "window": "50"}},
-                     "bad evaluation section: window: must be a number, got '50'",
+                     "bad evaluation section: window must be an integer, got '50'",
                      id="window_string"),
         pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"], "seeds": ["3"]}},
-                     "bad evaluation section: seeds: must be a number, got '3'",
+                     "bad evaluation section: seeds[0] must be an integer, got '3'",
                      id="seed_string"),
     ])
     def test_malformed_config_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch,
@@ -291,6 +303,58 @@ class TestRun:
         assert err.startswith("error: ")
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("setting, literal, message", [
+        ("noise_sd", "NaN", "bad generator spec: noise_sd must be a finite number, got nan"),
+        ("noise_sd", "Infinity",
+         "bad generator spec: noise_sd must be a finite number, got inf"),
+        ("noise_sd", "1e400", "bad generator spec: noise_sd must be a finite number, got inf"),
+        ("noise_sd", '1.0, "target_affine": [[NaN, 0], [1, 0]]',
+         "bad generator spec: target_affine[0][0] must be a finite number, got nan"),
+        ("tau", "Infinity", "bad tree section: tau must be a finite number, got inf"),
+    ], ids=["noise_nan", "noise_infinity", "noise_beyond_float", "affine_nan", "tau_infinity"])
+    def test_non_finite_number_exits_2_before_any_cell(self, tmp_path, capsys, setting,
+                                                       literal, message):
+        """json.load accepts the NaN and Infinity literals, and reads 1e400
+        as inf."""
+        cfg = run_config(tmp_path, tree={"tau": 1.0})
+        text = cfg.read_text()
+        assert f'"{setting}": 1.0' in text
+        cfg.write_text(text.replace(f'"{setting}": 1.0', f'"{setting}": {literal}'))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("n", [300, 150], ids=["one_window", "inside_warm_start"])
+    def test_fewer_than_two_windows_leave_the_ranks_empty(self, tmp_path, capsys, n):
+        cfg = run_config(tmp_path, n=n, variants=("mean", "perceptron"), window=100,
+                         warm_start=200)
+        doc = json.loads(cfg.read_text())
+        doc["datasets"][0]["generator"]["family"] = "plane_mt"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 0
+        summary = read_rows(out / "summary.csv")
+        assert [row["avg_rank"] for row in summary] == ["", ""]
+        assert not (out / "comparison.csv").exists()
+        capsys.readouterr()
+        assert main(["compare", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: compare needs reports from at least two algorithms, over two datasets "
+            "or two windows of one dataset\n")
+
+    def test_stream_without_an_example_names_the_cell(self, tmp_path, capsys):
+        (tmp_path / "bad.csv").write_text("x1,y\nabc,1.0\n1.0,\n")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "datasets": [{"name": "skipped", "csv": str(tmp_path / "bad.csv"),
+                          "schema": {"features": [{"name": "x1"}], "targets": ["y"]}}],
+            "variants": ["mean"], "evaluation": {"seeds": [4]}}))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 1
+        assert capsys.readouterr().err == ("error: dataset 'skipped', variant mean, seed 4: "
+                                           "stream was empty\n")
 
     def test_negative_base_seed_exits_2_before_any_cell(self, tmp_path, capsys):
         cfg = run_config(tmp_path, evaluation={"window": 100, "warm_start": 200,
@@ -445,7 +509,10 @@ class TestCompare:
         ("1,x,1.0,0.2,100", "could not convert string to float: 'x'"),
         ("1,1.0,1.0", "expected 5 fields"),
         ("1,1.0,1.0,0.2,100,7", "expected 5 fields"),
-    ], ids=["unparsable_cell", "short_row", "long_row"])
+        ("1,nan,1.0,0.2,100", "armse must be finite, got 'nan'"),
+        ("1,1.0,inf,0.2,100", "cum_armse must be finite, got 'inf'"),
+        ("1,1.0,1.0,1e400,100", "elapsed_s must be finite, got '1e400'"),
+    ], ids=["unparsable_cell", "short_row", "long_row", "nan", "inf", "beyond_float"])
     def test_malformed_report_row_is_one_error_line(self, tmp_path, capsys, bad_row, problem):
         out = tmp_path / "reports"
         out.mkdir()
@@ -533,7 +600,7 @@ class TestGenerate:
 
     @pytest.mark.parametrize("generator, message", [
         ({"family": "friedman_mt", "n_examples": 500, "drift": {"positions": [250.5]}},
-         "drift: positions: must be an integer, got 250.5"),
+         "drift: positions[0] must be an integer, got 250.5"),
         ({"family": "plane_mt", "noise": 0.5}, "unknown key 'noise'"),
     ], ids=["drift_position_fraction", "unknown_key"])
     def test_bad_spec_exits_2_before_writing(self, tmp_path, capsys, generator, message):
@@ -575,3 +642,109 @@ class TestGenerate:
         direct = list(make_stream(spec))
         from_disk = list(read_csv(out / "plane.csv", out / "plane.csv.schema.json"))
         assert from_disk == direct
+
+
+# Valid configs on tiny streams, mutated one value at a time by the hostile
+# input property below.
+_HOSTILE_RUN = {
+    "datasets": [{"name": "toy", "generator": {
+        "family": "friedman_mt", "n_examples": 60, "n_targets": 2, "noise_sd": 0.5,
+        "seed": 3, "drift": {"positions": [30], "mode": "synchronous"},
+        "target_affine": [[1.0, 0.0], [2.0, -1.0]]}}],
+    "variants": ["mean", "perceptron"],
+    "tree": {"delta": 1e-7, "tau": 0.05, "grace_period": 20, "learning_rate": 0.01},
+    "evaluation": {"window": 20, "warm_start": 10, "repetitions": 1, "seeds": [0]},
+}
+_HOSTILE_GENERATE = {"name": "g", "generator": {
+    "family": "mv_like", "n_examples": 30, "n_targets": 1, "noise_sd": 0.5, "seed": 3,
+    "target_affine": [[1.0, 0.0]]}}
+
+
+def _paths(doc, prefix=()):
+    """The key path of every value inside a JSON document."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_MUTATIONS = {  # "drop" deletes the value's key
+    "drop": None,
+    "bool": lambda v: True,
+    "string": lambda v: str(v),
+    "nan": lambda v: math.nan,
+    "infinity": lambda v: math.inf,
+    "negative": lambda v: -v if _number(v) and v > 0 else -1,
+    "fraction": lambda v: v + 0.5 if _number(v) else 2.5,
+    "null": lambda v: None,
+    "list": lambda v: [v],
+    "huge": lambda v: 1e300,
+}
+# a stream's length and the repetitions cost time and memory in proportion to
+# their value, so only a number setting or a seed is made huge
+_MAY_BE_HUGE = {"delta", "tau", "learning_rate", "noise_sd", "target_affine", "seed", "seeds"}
+# every number in the configs is a setting that refuses these in its place
+_NOT_A_NUMBER = {"bool", "string", "nan", "infinity", "null", "list"}
+
+
+def _exits_cleanly(command, base, path, mutation):
+    """Run `mtstream COMMAND --config ... --out ...` in-process from a fresh
+    working directory on `base` with one value mutated: it exits 0, or 1 or 2
+    with one `error:` line and no traceback, and writes nothing outside the
+    output directory. A number replaced by a non-number exits 2."""
+    doc = copy.deepcopy(base)
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    was = holder[path[-1]]
+    if mutation == "drop":
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = _MUTATIONS[mutation](was)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = tmp / "config.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        err = io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                code = main(argv + ["--jobs", "1"] if command == "run" else argv)
+        finally:
+            os.chdir(cwd)
+        text = err.getvalue()
+        assert "Traceback" not in text
+        if code == 0:
+            assert text == ""
+        else:
+            assert code in (1, 2)
+            assert text.startswith("error: ") and len(text.splitlines()) == 1, text
+        assert [p for p in tmp.rglob("*") if p != cfg and out not in (p, *p.parents)] == []
+    if _number(was) and mutation in _NOT_A_NUMBER:
+        assert code == 2, text
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+class TestHostileInput:
+    @settings(max_examples=400, deadline=None)
+    @given(path=st.sampled_from(list(_paths(_HOSTILE_RUN))),
+           mutation=st.sampled_from(list(_MUTATIONS)))
+    def test_run_config(self, path, mutation):
+        assume(mutation != "huge" or _MAY_BE_HUGE & set(path))
+        _exits_cleanly("run", _HOSTILE_RUN, path, mutation)
+
+    @settings(max_examples=100, deadline=None)
+    @given(path=st.sampled_from(list(_paths(_HOSTILE_GENERATE))),
+           mutation=st.sampled_from(list(_MUTATIONS)))
+    def test_generate_spec(self, path, mutation):
+        assume(mutation != "huge" or _MAY_BE_HUGE & set(path))
+        _exits_cleanly("generate", _HOSTILE_GENERATE, path, mutation)

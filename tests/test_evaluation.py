@@ -66,6 +66,43 @@ class TestIntegerSettings:
         assert PrequentialConfig(window=np.int32(5), seeds=(np.int64(3),)).window == 5
 
 
+class TestNumberSettings:
+    """A number setting is a finite real that is not a bool, at every depth
+    of the setting; a Variant setting holds a Variant."""
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: TreeConfig(tau=True), ValueError, "tau must be a finite number, got True"),
+        (lambda: TreeConfig(tau=math.inf), ValueError, "tau must be a finite number, got inf"),
+        (lambda: TreeConfig(learning_rate=True), ValueError,
+         "learning_rate must be a finite number, got True"),
+        (lambda: TreeConfig(variant="mean"), ValueError, "variant must be a Variant, got 'mean'"),
+        (lambda: GeneratorSpec("friedman_mt", noise_sd=True), ConfigError,
+         "noise_sd must be a finite number, got True"),
+        (lambda: GeneratorSpec("friedman_mt", noise_sd=math.nan), ConfigError,
+         "noise_sd must be a finite number, got nan"),
+        (lambda: GeneratorSpec("friedman_mt", noise_sd=math.inf), ConfigError,
+         "noise_sd must be a finite number, got inf"),
+        (lambda: GeneratorSpec("friedman_mt", n_targets=1, target_affine=((math.nan, 0.0),)),
+         ConfigError, r"target_affine\[0\]\[0\] must be a finite number, got nan"),
+        (lambda: GeneratorSpec("friedman_mt", n_targets=1, target_affine=((True, 0.0),)),
+         ConfigError, r"target_affine\[0\]\[0\] must be a finite number, got True"),
+        (lambda: GeneratorSpec("friedman_mt", n_targets=1, target_affine=(("1", 0.0),)),
+         ConfigError, r"target_affine\[0\]\[0\] must be a finite number, got '1'"),
+        (lambda: GeneratorSpec("friedman_mt", n_targets=1, target_affine=((1.0,),)),
+         ConfigError, r"target_affine needs one \(a, b\) pair per target"),
+    ], ids=["tau_bool", "tau_inf", "learning_rate_bool", "variant_string", "noise_sd_bool",
+            "noise_sd_nan", "noise_sd_inf", "affine_nan", "affine_bool", "affine_string",
+            "affine_short_pair"])
+    def test_refused(self, make, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            make()
+
+    def test_integers_and_exact_values_pass(self):
+        spec = GeneratorSpec("friedman_mt", n_targets=1, noise_sd=0, target_affine=((2, -1.5),))
+        assert (spec.noise_sd, spec.target_affine) == (0, ((2, -1.5),))
+        assert TreeConfig(tau=0, learning_rate=np.float64(0.5)).tau == 0
+
+
 class TestPrequentialConfig:
     def test_defaults(self):
         cfg = PrequentialConfig()
@@ -140,8 +177,9 @@ class TestRunPrequential:
             def __iter__(self):
                 return iter(())
 
-        with pytest.raises(EvaluationError):
-            run_prequential(Empty(), TreeConfig(), PrequentialConfig(seeds=(0,)))
+        with pytest.raises(EvaluationError, match="^dataset 'e', variant stacked_adaptive, "
+                                                  "seed 0: stream was empty$"):
+            run_prequential(Empty(), TreeConfig(), PrequentialConfig(seeds=(0,)), dataset="e")
 
     def test_cumulative_matches_independent_batch_recompute(self):
         """Replay the same prequential protocol by hand, store residuals, and
@@ -207,6 +245,18 @@ class TestRunPrequential:
         with pytest.raises(EvaluationError,
                            match=r"dataset 'f', variant perceptron, seed 4: example \d+"):
             run_prequential(fried(400), tree_config, config, seed=4, dataset="f")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_squared_errors_summing_beyond_float_range_raise(self):
+        """Noise of 1e153 keeps every squared error finite, near 1e306, but
+        their running sum overflows; no report row may hold inf."""
+        config = PrequentialConfig(window=50, warm_start=50, seeds=(0,))
+        with pytest.raises(EvaluationError,
+                           match=r"^dataset 'f', variant mean, seed 0: the squared errors "
+                                 r"up to example \d+ sum beyond the float range$"):
+            run_prequential(fried(400, noise=1e153), TreeConfig(variant=Variant.MEAN),
+                            config, dataset="f")
 
     def test_report_csv_round_trip(self, tmp_path):
         report = run_prequential(fried(800, seed=2), TreeConfig(variant=Variant.MEAN),

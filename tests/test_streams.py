@@ -125,7 +125,7 @@ class TestFriedmanGenerator:
     @pytest.mark.parametrize("position", [250.5, 250.0, True, "250"])
     def test_drift_positions_must_be_integers(self, position):
         # a non-integer position would reach a slice index during generation
-        with pytest.raises(ConfigError, match="drift positions must be integers"):
+        with pytest.raises(ConfigError, match=r"^positions\[0\] must be an integer, got "):
             DriftSpec(positions=(position,))
 
 
@@ -292,16 +292,20 @@ class TestSchemaDeclValidation:
         ({"features": [{"name": "x1"}], "targets": ["y"], "sentinel_columns": "x1"},
          "sentinel_columns must be a list of strings, got 'x1'"),
         ({"features": [{"name": "x1"}], "targets": ["y"], "sentinel_value": "abc"},
-         "sentinel_value must be a finite number or null, got 'abc'"),
+         "sentinel_value must be a finite number or None, got 'abc'"),
         ({"features": [{"name": "x1"}], "targets": ["y"], "sentinel_value": float("nan")},
-         "sentinel_value must be a finite number or null, got nan"),
+         "sentinel_value must be a finite number or None, got nan"),
         ({"features": [{"name": "x1"}], "targets": ["y"], "sentinel_value": True},
-         "sentinel_value must be a finite number or null, got True"),
+         "sentinel_value must be a finite number or None, got True"),
         ({"features": [{"name": "x1"}], "targets": ["y"], "sentinel_value": 10 ** 400},
-         "sentinel_value must be a finite number or null"),
+         "sentinel_value must be a finite number or None"),
+        ({"features": [{"name": "x1"}], "targets": ["y"], "sentinel_value": -1,
+          "sentinel_columns": ["x9"]},
+         "sentinel_columns name unknown features: ['x9']"),
     ], ids=["targets_string", "targets_repeated_string", "targets_non_string",
             "categories_string", "sentinel_columns_string", "sentinel_value_string",
-            "sentinel_value_nan", "sentinel_value_bool", "sentinel_value_beyond_float"])
+            "sentinel_value_nan", "sentinel_value_bool", "sentinel_value_beyond_float",
+            "sentinel_columns_unknown"])
     def test_malformed_declaration_is_rejected(self, decl, message):
         with pytest.raises(SchemaError, match="bad schema declaration") as err:
             CsvSchemaDecl.from_dict(decl)
