@@ -19,6 +19,7 @@ from mtstream import (
     decide_split,
     hoeffding_bound,
 )
+from mtstream.observers import moment_block
 
 rng = np.random.default_rng(7)
 
@@ -34,12 +35,14 @@ n = 400
 x = rng.random((n, 2))
 y = np.where(x[:, [0]] > 0.5, 10.0, 0.0) + rng.normal(0, 0.5, size=(n, 2))
 
-# the leaf's target aggregate, shared by every feature's scan
-parent = ParentStats((float(n), tuple(y.sum(axis=0)), tuple((y ** 2).sum(axis=0))))
+# the leaf's moment column [n, sums, sums of squares], shared by every
+# feature's scan
+parent = ParentStats([float(n), *y.sum(axis=0), *(y ** 2).sum(axis=0)])
+# each observer folds its feature's column as one block of (1, y, y^2) rows
+block = moment_block(y)
 observers = [EBSTObserver(2), EBSTObserver(2)]
-for i in range(n):
-    observers[0].insert(float(x[i, 0]), y[i])
-    observers[1].insert(float(x[i, 1]), y[i])
+observers[0].fold(x[:, 0], block)
+observers[1].fold(x[:, 1], block)
 
 best0 = observers[0].best_splits(0, parent)
 best1 = observers[1].best_splits(1, parent)

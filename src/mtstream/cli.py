@@ -345,7 +345,8 @@ def _comparison_from_curves(curves: dict):
 
 def _write_summary(reports: list[WindowedReport], out_dir: Path):
     """Write summary.csv, and the comparison files when the reports make a
-    comparison; returns the comparison or None."""
+    comparison, else delete any that an earlier run left; returns the
+    comparison or None."""
     import csv as _csv
 
     stats_rows, curves = _aggregate(reports)
@@ -371,6 +372,8 @@ def _write_summary(reports: list[WindowedReport], out_dir: Path):
             ])
 
     if comparison is None:
+        for name in ("comparison.csv", "comparison.txt"):
+            (out_dir / name).unlink(missing_ok=True)
         return None
     with open(out_dir / "comparison.csv", "w", encoding="utf-8", newline="") as fh:
         writer = _csv.writer(fh)

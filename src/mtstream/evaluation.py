@@ -18,7 +18,7 @@ from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
-from .schema import Setting, check_settings, setting
+from .schema import SEED, Setting, check_settings, setting
 from .tree import MultiTargetHoeffdingTree, TreeConfig
 
 
@@ -42,7 +42,7 @@ class PrequentialConfig:
 
     window: int = setting(int, 200, low=1)
     warm_start: int = setting(int, 200, low=0)
-    seeds: tuple[int, ...] = setting(tuple, (0,), low=1, items=Setting(int, low=0))
+    seeds: tuple[int, ...] = setting(tuple, (0,), low=1, items=Setting(int, **SEED))
 
     def __post_init__(self):
         check_settings(self, EvaluationError)
@@ -348,6 +348,10 @@ def friedman_nemenyi(algorithms, scores) -> ComparisonResult:
         raise EvaluationError("comparison needs at least two algorithms")
     if n < 2:
         raise EvaluationError("comparison needs at least two blocks")
+    nan_at = np.argwhere(np.isnan(scores))
+    if len(nan_at):
+        block, j = nan_at[0].tolist()
+        raise EvaluationError(f"score of algorithm {algorithms[j]!r} in block {block} is NaN")
     if k not in NEMENYI_Q_05:
         raise EvaluationError(f"no tabulated critical value for k={k}")
 

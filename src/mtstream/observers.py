@@ -11,14 +11,17 @@ scanning candidates is one prefix sum over the columns, which reconstructs,
 for every observed value as a `v <= key` threshold, the exact left/right
 partition statistics in a handful of vectorized passes.
 
-Nominal features keep one aggregate row per declared category, folded the
+Nominal features keep one aggregate column per declared category, folded the
 same way, and propose a single multiway split over the declared category set.
 
 Split merit is the reduction in intra-cluster variance: the mean (across
 targets) sample variance of the parent minus the example-weighted mean of the
-children's. Both observers score the parent and every child with one kernel,
-`_icvar_rows`, over (1 + 2d, n) blocks of counts, sums and sums of squares;
-the parent's column and its variance are built once per split attempt, as a
+children's. Split statistics travel as (1 + 2d) moment columns
+[n, sums, sums of squares]: the leaf's column is the parent of every scan,
+each suggestion carries its children's columns, and the tree seeds the
+children from them. Both observers score the parent and every child with one
+kernel, `_icvar_rows`, over (1 + 2d, n) blocks of such columns; the parent's
+column and its variance are built once per split attempt, as a
 `ParentStats`, and shared by every feature's scan.
 """
 
@@ -42,13 +45,13 @@ class SplitSuggestion:
 
     For numeric features the predicate is `value <= threshold` (left branch);
     for nominal features one branch per declared category. `child_stats`
-    carries the per-branch (count, sums, sumsqs) triples used to seed children.
+    carries the per-branch moment columns used to seed children.
     """
 
     feature: int
     merit: float
     threshold: float | None  # None marks a nominal multiway split
-    child_stats: list  # [(count, sums, sumsqs), ...]
+    child_stats: list  # one [n, sums, sums of squares] list per branch
 
 
 class EBSTObserver:
@@ -132,17 +135,17 @@ class EBSTObserver:
         )
         return merits, valid, left, right
 
-    def candidate_merits(self, parent) -> list[tuple[float, float, tuple, tuple]]:
+    def candidate_merits(self, parent) -> list[tuple[float, float, list, list]]:
         """All (threshold, merit, left, right) tuples in increasing key order
-        for a parent (count, sums, sumsqs) triple; materialized from the
-        vectorized scan, mainly for inspection and oracle checks."""
+        for a parent moment column, left and right as moment columns;
+        materialized from the vectorized scan, mainly for inspection and
+        oracle checks."""
         scan = self._scan(ParentStats(parent))
         if scan is None:
             return []
         merits, valid, left, right = scan
-        d = self.n_targets
-        return [(float(self.keys[i]), float(merits[i]), _triple(left[:, i].tolist(), d),
-                 _triple(right[:, i].tolist(), d))
+        return [(float(self.keys[i]), float(merits[i]), left[:, i].tolist(),
+                 right[:, i].tolist())
                 for i in np.flatnonzero(valid).tolist()]
 
     def best_splits(self, feature: int, parent: ParentStats) -> SplitSuggestion | None:
@@ -157,11 +160,9 @@ class EBSTObserver:
         i = int(np.argmax(masked))
         if masked[i] == -np.inf:
             return None
-        d = self.n_targets
         return SplitSuggestion(feature=feature, merit=float(merits[i]),
                                threshold=float(self.keys[i]),
-                               child_stats=[_triple(left[:, i].tolist(), d),
-                                            _triple(right[:, i].tolist(), d)])
+                               child_stats=[left[:, i].tolist(), right[:, i].tolist()])
 
     def key_ordered_dump(self) -> list:
         """(key, count, sums, sumsqs) rows of the folded values in increasing
@@ -181,21 +182,14 @@ class EBSTObserver:
 
 
 class ParentStats:
-    """A leaf's target aggregate as every scan of one split attempt reads it:
-    the (1 + 2d, 1) column of its (count, sums, sumsqs) triple and that
-    column's intra-cluster variance."""
+    """A leaf's moment column as every scan of one split attempt reads it:
+    as a (1 + 2d, 1) block, with its intra-cluster variance."""
 
     __slots__ = ("column", "icvar")
 
-    def __init__(self, triple):
-        cnt, sums, sumsqs = triple
-        self.column = np.array([cnt, *sums, *sumsqs], dtype=float)[:, None]
+    def __init__(self, column):
+        self.column = np.array(column, dtype=float)[:, None]
         self.icvar = _icvar_rows(self.column)[0]
-
-
-def _triple(column: list, d: int) -> tuple:
-    """(count, sums, sumsqs) triple of one block column."""
-    return column[0], tuple(column[1:1 + d]), tuple(column[1 + d:])
 
 
 def _icvar_rows(block: np.ndarray) -> np.ndarray:
@@ -219,26 +213,27 @@ def _icvar_rows(block: np.ndarray) -> np.ndarray:
 
 
 class NominalObserver:
-    """Per-category aggregate rows for one nominal feature."""
+    """Per-category aggregate columns for one nominal feature."""
 
-    __slots__ = ("n_categories", "n_targets", "table")
+    __slots__ = ("n_categories", "n_targets", "rows")
 
     def __init__(self, n_categories: int, n_targets: int):
         self.n_categories = n_categories
         self.n_targets = n_targets
-        # (categories, 1 + 2d): count, sums, sums of squares per category
-        self.table = np.zeros((n_categories, 1 + 2 * n_targets))
+        # (1 + 2d, categories): count, sums, sums of squares; column c is
+        # category c, as in EBSTObserver.rows
+        self.rows = np.zeros((1 + 2 * n_targets, n_categories))
 
     def insert(self, category: int, y) -> None:
         self.fold(np.array([category]), moment_block([y]))
 
     def fold(self, categories: np.ndarray, block: np.ndarray) -> None:
         """Add the rows of `block` to their categories in arrival order."""
-        np.add.at(self.table, categories.astype(np.intp), block)
+        np.add.at(self.rows.T, categories.astype(np.intp), block)
 
     @property
     def observed_categories(self) -> int:
-        return int(np.count_nonzero(self.table[:, 0]))
+        return int(np.count_nonzero(self.rows[0]))
 
     def suggest(self, feature: int, parent: ParentStats) -> SplitSuggestion | None:
         """One multiway suggestion over the declared categories, or None when
@@ -247,22 +242,21 @@ class NominalObserver:
         categories with no examples contribute nothing."""
         if self.observed_categories < 2:
             return None
-        table = self.table.T
+        rows = self.rows
         parent_cnt = float(parent.column[0, 0])
         merit = float(parent.icvar)
-        for cnt, child_icvar in zip(table[0].tolist(), _icvar_rows(table).tolist()):
+        for cnt, child_icvar in zip(rows[0].tolist(), _icvar_rows(rows).tolist()):
             if cnt > 0:
                 merit -= (cnt / parent_cnt) * child_icvar
-        d = self.n_targets
         return SplitSuggestion(feature=feature, merit=merit, threshold=None,
-                               child_stats=[_triple(row, d) for row in self.table.tolist()])
+                               child_stats=rows.T.tolist())
 
     def dump(self) -> dict:
         """JSON-ready state: count, sums and sums of squares per category."""
         d = self.n_targets
-        table = self.table
-        return {"kind": "nominal", "cnt": table[:, 0].tolist(),
-                "sums": table[:, 1:1 + d].tolist(), "sumsqs": table[:, 1 + d:].tolist()}
+        rows = self.rows
+        return {"kind": "nominal", "cnt": rows[0].tolist(),
+                "sums": rows[1:1 + d].T.tolist(), "sumsqs": rows[1 + d:].T.tolist()}
 
     def memory_slots(self) -> int:
         return self.n_categories * (1 + 2 * self.n_targets)

@@ -15,6 +15,8 @@ class SchemaError(ValueError):
 
 SETTING = "setting"  # the field-metadata key of a setting's declaration
 
+SEED = {"low": 0, "high": 2**63 - 1}  # every seed's range; a seed names report files
+
 
 @dataclass(frozen=True)
 class Setting:
@@ -54,8 +56,8 @@ class Setting:
         if kind in (int, float, tuple) and not (
                 self.low < size < self.high if self.open else self.low <= size <= self.high):
             below, above = ("> ", "< ") if self.open else (">= ", "<= ")
-            bounds = below + f"{self.low:g}" + (
-                f" and {above}{self.high:g}" if self.high < math.inf else "")
+            bounds = f"{below}{self.low}" + (
+                f" and {above}{self.high}" if self.high < math.inf else "")
             wording = f"have {bounds} items" if kind is tuple else f"be {bounds}"
             raise error(f"{name} must {wording}, got {value!r}")
         for i, item in enumerate(value if kind is tuple else ()):

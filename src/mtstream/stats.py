@@ -2,8 +2,8 @@
 
 RunningStats accumulates one variable; VectorStats bundles the per-feature and
 per-target statistics a leaf keeps. Updates are Welford-style so that variance
-stays accurate under large constant offsets; the raw second moment is exposed
-as a derived property.
+stays accurate under large constant offsets; only `VectorStats.moments` and
+`seed_targets` convert the targets' accumulators to and from raw moments.
 """
 
 from __future__ import annotations
@@ -45,13 +45,6 @@ class RunningStats:
     def mean(self) -> float:
         return self.sum / self.n if self.n else 0.0
 
-    @property
-    def sum_sq(self) -> float:
-        """Raw second moment, reconstructed from the centered accumulator."""
-        if self.n == 0:
-            return 0.0
-        return self._m2 + self.sum * self.sum / self.n
-
     def variance(self) -> float:
         """Sample variance (n-1 denominator); 0 for n < 2; never negative."""
         if self.n < 2:
@@ -85,12 +78,6 @@ class RunningStats:
         if s < SD_EPSILON:
             return self.sum / n
         return z * s + self.sum / n
-
-    @classmethod
-    def from_moments(cls, n: float, total: float, sum_sq: float) -> "RunningStats":
-        """Build from raw (n, sum, sum of squares), e.g. observer aggregates."""
-        m2 = max(sum_sq - total * total / n, 0.0) if n > 0 else 0.0
-        return cls(int(n), total, m2)
 
     def state(self) -> tuple:
         return (self.n, self.sum, self._m2)
@@ -211,6 +198,24 @@ class VectorStats:
             s = sqrt(m2 / (n - 1))
             sds.append(None if s < SD_EPSILON else s)
         return means, sds
+
+    def moments(self) -> list[float]:
+        """The targets' (1 + 2d) moment column [n, sums, sums of squares]:
+        the one form in which split statistics move, from a leaf to the
+        observers' scans and from a winning split to its children."""
+        targets = self.targets
+        n = targets[0].n
+        return [float(n), *(rs.sum for rs in targets),
+                *(rs._m2 + rs.sum * rs.sum / n if n else 0.0 for rs in targets)]
+
+    def seed_targets(self, column) -> None:
+        """Start the target statistics from a moment column, as a split seeds
+        a child; an empty column leaves them empty."""
+        n = column[0]
+        if n > 0:
+            d = len(self.targets)
+            self.targets = [RunningStats(int(n), total, max(sq - total * total / n, 0.0))
+                            for total, sq in zip(column[1:1 + d], column[1 + d:])]
 
     def state(self) -> tuple:
         return (

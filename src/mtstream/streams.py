@@ -25,6 +25,7 @@ import numpy as np
 from .schema import (
     NOMINAL,
     NUMERIC,
+    SEED,
     FeatureSpec,
     Instance,
     SchemaError,
@@ -71,7 +72,7 @@ class GeneratorSpec:
     n_examples: int = setting(int, 10_000, low=1)
     n_targets: int = setting(int, 2, low=1)
     noise_sd: float = setting(float, 1.0, low=0.0)
-    seed: int = setting(int, 0, low=0)
+    seed: int = setting(int, 0, **SEED)
     drift: DriftSpec | None = setting(DriftSpec, None)
     # optional explicit per-target (a, b) coefficients; drawn from the seed
     # when omitted
@@ -469,10 +470,10 @@ def read_csv(path, decl: CsvSchemaDecl | dict | str | Path) -> CsvStream:
     return CsvStream(path, decl)
 
 
-def write_csv(source, path, decl_path=None) -> int:
-    """Materialize a stream to CSV (+ its schema declaration JSON). Floats are
-    written with shortest exact decimal repr, so reading the file back
-    reproduces the stream bit-for-bit. Returns the number of rows written."""
+def write_csv(source, path) -> int:
+    """Materialize a stream to CSV and its schema declaration JSON to `path`
+    + ".schema.json". Floats are written with shortest exact decimal repr, so
+    reading the file back reproduces the stream bit-for-bit. Returns the row count."""
     schema = source.schema
     path = Path(path)
     rows = 0
@@ -492,5 +493,5 @@ def write_csv(source, path, decl_path=None) -> int:
             writer.writerow(row)
             rows += 1
     decl = CsvSchemaDecl(schema=schema)
-    decl.save(decl_path if decl_path is not None else path.with_suffix(path.suffix + ".schema.json"))
+    decl.save(path.with_suffix(path.suffix + ".schema.json"))
     return rows

@@ -25,9 +25,10 @@ import numpy as np
 
 from .leaf_models import LeafPredictorSet
 from .observers import EBSTObserver, NominalObserver, ParentStats, moment_block
-from .schema import NOMINAL, Instance, Prediction, StreamSchema, Variant, check_settings, setting
+from .schema import (NOMINAL, SEED, Instance, Prediction, StreamSchema, Variant, check_settings,
+                     setting)
 from .splitting import MeritRatio, decide_split
-from .stats import RunningStats, VectorStats
+from .stats import VectorStats
 
 SERIAL_FORMAT = "mtstream-tree/1"
 
@@ -51,7 +52,7 @@ class TreeConfig:
     tau: float = setting(float, 0.05, low=0.0)
     grace_period: int = setting(int, 200, low=1)
     learning_rate: float = setting(float, 0.01, low=0.0, open=True)
-    seed: int = setting(int, 0, low=0)
+    seed: int = setting(int, 0, **SEED)
 
     def __post_init__(self):
         check_settings(self, ValueError)
@@ -152,18 +153,13 @@ class MultiTargetHoeffdingTree:
             self.config.learning_rate, self.rng)
         return LeafNode(stats, self._new_observers(), predictors)
 
-    def _child_leaf(self, parent: LeafNode, seed_stats) -> LeafNode:
+    def _child_leaf(self, parent: LeafNode, seed_column) -> LeafNode:
         """Fresh leaf for one split branch: target statistics seeded from the
-        winning suggestion, weights inherited from the parent, everything else
-        starts over."""
+        winning suggestion's moment column, weights inherited from the
+        parent, everything else starts over."""
         stats = VectorStats(self.schema.n_features, self._numeric,
                             self.schema.n_targets)
-        cnt, sums, sumsqs = seed_stats
-        if cnt > 0:
-            stats.targets = [
-                RunningStats.from_moments(cnt, sums[t], sumsqs[t])
-                for t in range(self.schema.n_targets)
-            ]
+        stats.seed_targets(seed_column)
         return LeafNode(stats, self._new_observers(), parent.predictors.spawn_child())
 
     # -- routing -----------------------------------------------------------
@@ -255,20 +251,11 @@ class MultiTargetHoeffdingTree:
 
     # -- splitting -----------------------------------------------------------
 
-    def _parent_triple(self, leaf: LeafNode):
-        targets = leaf.stats.targets
-        return (
-            float(targets[0].n),
-            tuple(rs.sum for rs in targets),
-            tuple(rs.sum_sq for rs in targets),
-        )
-
     def _attempt_split(self, leaf: LeafNode, parent, child_index: int) -> bool:
         leaf.fold_pending()
-        parent_triple = self._parent_triple(leaf)
-        if parent_triple[0] < 2:
+        if leaf.stats.n_seen < 2:
             return False
-        parent_stats = ParentStats(parent_triple)
+        parent_stats = ParentStats(leaf.stats.moments())
 
         # rank features by their best candidate; the decision compares the
         # best feature against the runner-up feature

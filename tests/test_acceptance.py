@@ -24,7 +24,7 @@ from mtstream import (
     run_prequential,
 )
 from mtstream.leaf_models import LeafPredictorSet
-from mtstream.observers import EBSTObserver, ParentStats
+from mtstream.observers import EBSTObserver, ParentStats, moment_block
 from mtstream.stats import RunningStats
 from mtstream.tree import MultiTargetHoeffdingTree
 
@@ -95,12 +95,13 @@ def test_criterion_02_scan_matches_brute_force():
     for trial in range(50):
         xs = rng.random((n, m))
         ys = rng.normal(size=(n, d)) + 3.0 * xs[:, [trial % m]]
-        parent = ParentStats((float(n), tuple(ys.sum(axis=0)), tuple((ys ** 2).sum(axis=0))))
+        parent = ParentStats([float(n), *ys.sum(axis=0), *(ys ** 2).sum(axis=0)])
+        block = moment_block(ys)
         best = None
         for f in range(m):
+            # one block per feature column, as a leaf folds its pending rows
             obs = EBSTObserver(d)
-            for i in range(n):
-                obs.insert(float(xs[i, f]), ys[i])
+            obs.fold(xs[:, f], block)
             cand = obs.best_splits(f, parent)
             if cand is not None and (best is None or cand.merit > best.merit):
                 best = cand

@@ -32,6 +32,8 @@ def run_config(tmp_path, n=500, variants=("mean",), seeds=(0,), name="toy",
     return path
 
 
+_SEED_RANGE = "must be >= 0 and <= 9223372036854775807"  # every seed's range
+
 # a declaration for the CSV cases of the malformed-config test; its
 # short.csv lacks the x2 column
 _CSV_SCHEMA = {"features": [{"name": "x1"}, {"name": "x2"}], "targets": ["y"]}
@@ -205,10 +207,19 @@ class TestRun:
                      id="csv_sentinel_value_string"),
         pytest.param(lambda doc: {**doc, "datasets": [{"name": "toy", "generator": {
             "family": "friedman_mt", "seed": -1}}]},
-                     "seed must be >= 0, got -1", id="generator_seed_negative"),
+                     f"seed {_SEED_RANGE}, got -1", id="generator_seed_negative"),
         pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"], "seeds": [-1]}},
-                     "bad evaluation section: seeds[0] must be >= 0, got -1",
+                     f"bad evaluation section: seeds[0] {_SEED_RANGE}, got -1",
                      id="seed_negative"),
+        # JSON reads 1e300 as an integral float, so an integer setting takes
+        # its int; unbounded, it ran every cell and then failed on a report
+        # file name too long to create
+        pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"], "seeds": [1e300]}},
+                     f"bad evaluation section: seeds[0] {_SEED_RANGE}, got {int(1e300)}",
+                     id="seed_beyond_range"),
+        pytest.param(lambda doc: _with_generator(doc, seed=2**63),
+                     f"bad generator spec: seed {_SEED_RANGE}, got {2**63}",
+                     id="generator_seed_beyond_range"),
         pytest.param(lambda doc: {**doc, "tree": {"grace_period": 2.5}},
                      "bad tree section: grace_period must be an integer, got 2.5",
                      id="grace_period_fraction"),
@@ -328,16 +339,20 @@ class TestRun:
 
     @pytest.mark.parametrize("n", [300, 150], ids=["one_window", "inside_warm_start"])
     def test_fewer_than_two_windows_leave_the_ranks_empty(self, tmp_path, capsys, n):
-        cfg = run_config(tmp_path, n=n, variants=("mean", "perceptron"), window=100,
-                         warm_start=200)
-        doc = json.loads(cfg.read_text())
-        doc["datasets"][0]["generator"]["family"] = "plane_mt"
-        cfg.write_text(json.dumps(doc))
+        """In a reused directory too: the first run's comparison files go."""
         out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 0
+        for examples in (500, n):
+            cfg = run_config(tmp_path, n=examples, variants=("mean", "perceptron"),
+                             window=100, warm_start=200)
+            doc = json.loads(cfg.read_text())
+            doc["datasets"][0]["generator"]["family"] = "plane_mt"
+            cfg.write_text(json.dumps(doc))
+            assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 0
+            compared = examples == 500  # three windows rank the variants
+            assert (out / "comparison.csv").exists() == compared
+            assert (out / "comparison.txt").exists() == compared
         summary = read_rows(out / "summary.csv")
         assert [row["avg_rank"] for row in summary] == ["", ""]
-        assert not (out / "comparison.csv").exists()
         capsys.readouterr()
         assert main(["compare", str(out)]) == 2
         assert capsys.readouterr().err == (
@@ -363,7 +378,7 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "-2"]) == 2
         assert not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "seed must be >= 0, got -2" in err
+        assert err.startswith("error: ") and f"seed {_SEED_RANGE}, got -2" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("jobs", ["0", "-3", "1.5", "two"])
@@ -587,7 +602,7 @@ class TestGenerate:
                      "--out", str(out), *flags]) == 2
         assert not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "seed must be >= 0, got -1" in err
+        assert err.startswith("error: ") and f"seed {_SEED_RANGE}, got -1" in err
         assert "Traceback" not in err
 
     def test_flat_form_reads_name_and_output_dir(self, tmp_path, monkeypatch):

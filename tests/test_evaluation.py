@@ -411,3 +411,13 @@ class TestFriedmanNemenyi:
             friedman_nemenyi(("a",), np.ones((3, 1)))
         with pytest.raises(EvaluationError):
             friedman_nemenyi(("a", "b"), np.ones((1, 2)))
+
+    @pytest.mark.parametrize("scores, where", [
+        ([[math.nan, 1.0], [1.0, 2.0]], "algorithm 'a' in block 0"),
+        ([[1.0, 2.0], [3.0, 4.0], [2.0, math.nan], [math.nan, 1.0]], "algorithm 'b' in block 2"),
+    ])
+    def test_nan_score_names_its_block_and_algorithm(self, scores, where):
+        """Refused before ranking, not after a thousand NaN terms of the
+        p-value's continued fraction."""
+        with pytest.raises(EvaluationError, match=f"^score of {where} is NaN$"):
+            friedman_nemenyi(("a", "b"), scores)

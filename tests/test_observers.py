@@ -7,10 +7,11 @@ from mtstream.observers import EBSTObserver, NominalObserver, ParentStats, momen
 from mtstream.tree import LeafNode
 
 
-def triple(ys):
-    """Raw (count, per-target sums, per-target sums of squares) for a batch."""
+def moments(ys):
+    """Moment column [count, per-target sums, per-target sums of squares] of
+    a batch."""
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    return (float(len(ys)), tuple(ys.sum(axis=0)), tuple((ys ** 2).sum(axis=0)))
+    return [float(len(ys)), *ys.sum(axis=0), *(ys ** 2).sum(axis=0)]
 
 
 def batch_icvar(ys):
@@ -85,7 +86,7 @@ class TestInsert:
         values = rng.choice(np.linspace(0, 1, 80), size=1000)  # repeats on purpose
         pairs = [(float(v), (float(rng.normal()),)) for v in values]
         obs = build_observer(pairs, 1)
-        parent = triple([y for _, y in pairs])
+        parent = moments([y for _, y in pairs])
         by_threshold = {key: left[0] for key, _, left, _ in obs.candidate_merits(parent)}
         for threshold, left_count in by_threshold.items():
             expected = sum(1 for v, _ in pairs if v <= threshold)
@@ -95,7 +96,7 @@ class TestInsert:
     def test_sorted_inserts_do_not_hit_recursion_limits(self):
         pairs = [(float(i), (float(i),)) for i in range(5000)]
         obs = build_observer(pairs, 1)
-        parent = triple([y for _, y in pairs])
+        parent = moments([y for _, y in pairs])
         assert len(obs.candidate_merits(parent)) == 4999
 
 
@@ -103,7 +104,7 @@ class TestScanSplits:
     def test_two_cluster_example(self):
         pairs = [(1.0, (0.0,)), (1.0, (0.0,)), (5.0, (2.0,)), (5.0, (2.0,))]
         obs = build_observer(pairs, 1)
-        parent = triple([y for _, y in pairs])
+        parent = moments([y for _, y in pairs])
         assert batch_icvar([y for _, y in pairs]) == pytest.approx(4.0 / 3.0)
         best = obs.best_splits(0, ParentStats(parent))
         assert best.threshold == 1.0
@@ -112,13 +113,13 @@ class TestScanSplits:
     def test_constant_targets_give_zero_merit(self):
         pairs = [(float(i), (3.0, 3.0)) for i in range(20)]
         obs = build_observer(pairs, 2)
-        parent = triple([y for _, y in pairs])
+        parent = moments([y for _, y in pairs])
         for _, merit, _, _ in obs.candidate_merits(parent):
             assert merit == pytest.approx(0.0, abs=1e-12)
 
     def test_single_distinct_key_yields_no_suggestion(self):
         obs = build_observer([(1.0, (1.0,)), (1.0, (2.0,))], 1)
-        parent = triple([(1.0,), (2.0,)])
+        parent = moments([(1.0,), (2.0,)])
         assert obs.best_splits(0, ParentStats(parent)) is None
 
     def test_merits_match_brute_force(self):
@@ -128,7 +129,7 @@ class TestScanSplits:
             for _ in range(200)
         ]
         obs = build_observer(pairs, 3)
-        parent = triple([y for _, y in pairs])
+        parent = moments([y for _, y in pairs])
         scanned = {key: merit for key, merit, _, _ in obs.candidate_merits(parent)}
         expected = brute_force_merits(pairs)
         assert scanned.keys() == expected.keys()
@@ -141,7 +142,7 @@ class TestScanSplits:
             (float(rng.integers(0, 30)), (float(rng.normal()), float(rng.normal())))
             for _ in range(300)
         ]
-        parent = triple([y for _, y in pairs])
+        parent = moments([y for _, y in pairs])
         reference = {
             key: merit
             for key, merit, _, _ in build_observer(pairs, 2).candidate_merits(parent)
@@ -177,7 +178,7 @@ class TestHashIndexProperties:
         assert shuffled.key_ordered_dump() == obs.key_ordered_dump()
         assert obs.distinct_keys == len({v for v, _ in pairs})
 
-        parent = triple([y for _, y in pairs])
+        parent = moments([y for _, y in pairs])
         scanned = {key: merit for key, merit, _, _ in shuffled.candidate_merits(parent)}
         expected = brute_force_merits(pairs)
         assert scanned.keys() == expected.keys()
@@ -240,7 +241,7 @@ class TestBlockFold:
         # the stored keys are the split thresholds: each is its value's
         # first-seen float (-0.0 stays -0.0 after a later 0.0)
         assert repr(folded.keys.tolist()) == repr([float(key) for key, *_ in reference])
-        assert repr(folded_nominal.table.tolist()) == repr(nominal.table.tolist())
+        assert repr(folded_nominal.rows.tolist()) == repr(nominal.rows.tolist())
 
 
 def unique_fold(keys, rows, values, block):
@@ -300,7 +301,7 @@ class TestNominalObserver:
             obs.insert(0, (y,))
         for y in (2.0, 2.0):
             obs.insert(1, (y,))
-        parent = triple([(0.0,), (0.0,), (2.0,), (2.0,)])
+        parent = moments([(0.0,), (0.0,), (2.0,), (2.0,)])
         suggestion = obs.suggest(0, ParentStats(parent))
         assert suggestion.merit == pytest.approx(batch_icvar([(0.0,), (0.0,), (2.0,), (2.0,)]))
         assert suggestion.threshold is None
@@ -310,14 +311,14 @@ class TestNominalObserver:
         obs = NominalObserver(3, 1)
         obs.insert(1, (5.0,))
         obs.insert(1, (6.0,))
-        assert obs.suggest(0, ParentStats(triple([(5.0,), (6.0,)]))) is None
+        assert obs.suggest(0, ParentStats(moments([(5.0,), (6.0,)]))) is None
 
     def test_uniform_targets_across_categories(self):
         obs = NominalObserver(2, 1)
         rows = [(0, 1.0), (0, 2.0), (1, 1.0), (1, 2.0)]
         for c, y in rows:
             obs.insert(c, (y,))
-        parent = triple([(y,) for _, y in rows])
+        parent = moments([(y,) for _, y in rows])
         # children replicate the parent distribution; the n-1 denominators
         # make the weighted child variance slightly exceed the parent's
         assert obs.suggest(0, ParentStats(parent)).merit <= 0.0
@@ -337,7 +338,7 @@ class TestNominalObserver:
         obs = NominalObserver(3, 2)
         for c, y in rows:
             obs.insert(c, y)
-        parent = triple([y for _, y in rows])
+        parent = moments([y for _, y in rows])
         per_cat = [[y for c, y in rows if c == cat] for cat in range(3)]
         expected = batch_icvar([y for _, y in rows]) - sum(
             (len(g) / len(rows)) * batch_icvar(g) for g in per_cat if g
@@ -351,10 +352,10 @@ class TestNominalObserver:
         obs = NominalObserver(3, 1)
         for c, y in rows:
             obs.insert(c, (y,))
-        parent = triple([(y,) for _, y in rows])
+        parent = moments([(y,) for _, y in rows])
         suggestion = obs.suggest(0, ParentStats(parent))
         expected = batch_icvar([(y,) for _, y in rows]) \
             - (2 / 5) * batch_icvar([(0.0,), (1.0,)]) \
             - (3 / 5) * batch_icvar([(2.0,), (4.0,), (3.0,)])
         assert suggestion.merit == pytest.approx(expected, abs=1e-12)
-        assert suggestion.child_stats[1] == (0.0, (0.0,), (0.0,))
+        assert suggestion.child_stats[1] == [0.0, 0.0, 0.0]

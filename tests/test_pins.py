@@ -56,8 +56,8 @@ def report_digest(tmp_dir) -> str:
     stream so that parsing is pinned too."""
     source = make_stream(_spec("mv_like"))
     csv_path = tmp_dir / "pin.csv"
-    write_csv(source, csv_path, tmp_dir / "pin.schema.json")
-    stream = read_csv(csv_path, tmp_dir / "pin.schema.json")
+    write_csv(source, csv_path)
+    stream = read_csv(csv_path, tmp_dir / "pin.csv.schema.json")
     report = run_prequential(stream, TreeConfig(variant=Variant.STACKED_ADAPTIVE),
                              PrequentialConfig(window=100, warm_start=100, seeds=(3,)),
                              seed=3, dataset="pin")

@@ -9,7 +9,7 @@ from mtstream.tree import TreeConfig
 
 def suggestion(merit, feature=0, threshold=0.5):
     return SplitSuggestion(feature=feature, merit=merit, threshold=threshold,
-                           child_stats=[(1.0, (0.0,), (0.0,)), (1.0, (0.0,), (0.0,))])
+                           child_stats=[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 class TestHoeffdingBound:

@@ -19,11 +19,11 @@ def filled(values):
 class TestUpdate:
     def test_single_value(self):
         rs = filled([3.0])
-        assert (rs.n, rs.sum, rs.sum_sq) == (1, 3.0, 9.0)
+        assert rs.state() == (1, 3.0, 0.0)
 
     def test_two_values(self):
         rs = filled([0.0, 2.0])
-        assert (rs.n, rs.sum, rs.sum_sq) == (2, 2.0, 4.0)
+        assert rs.state() == (2, 2.0, 2.0)
 
     def test_large_normal_sample_mean(self):
         rng = np.random.default_rng(42)
@@ -96,8 +96,11 @@ class TestIncrementalEqualsBatch:
 
     def test_second_moment_invariant(self):
         rng = np.random.default_rng(13)
-        rs = filled(rng.uniform(-5, 5, size=500).tolist())
-        assert rs.sum_sq >= rs.sum * rs.sum / rs.n - 1e-9 * abs(rs.sum_sq)
+        vs = VectorStats(0, [], 1)
+        for v in rng.uniform(-5, 5, size=500).tolist():
+            vs.learn((), (v,), standardize=False)
+        n, total, sum_sq = vs.moments()
+        assert sum_sq >= total * total / n - 1e-9 * abs(sum_sq)
 
 
 class TestShiftStability:
@@ -129,6 +132,36 @@ class TestVectorStats:
         assert std[0] == pytest.approx(0.0)
         assert std[1] == 0.0  # nominal slot
         assert std[2] == 0.0  # missing value
+
+
+class TestMomentColumn:
+    """A leaf's targets leave as a (1 + 2d) moment column and a child's
+    targets start from one."""
+
+    def test_seed_targets_restores_moments(self):
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            data = rng.normal(3.0, 2.0, size=(int(rng.integers(2, 300)), 3))
+            source = VectorStats(1, [0], 3)
+            for row in data.tolist():
+                source.learn((None,), row, standardize=False)
+            column = source.moments()
+            assert column[0] == float(len(data))
+            seeded = VectorStats(1, [0], 3)
+            seeded.seed_targets(column)
+            assert seeded.moments()[:4] == column[:4]  # n and the three sums, exactly
+            for rs, original in zip(seeded.targets, source.targets):
+                assert rs.state()[2] == pytest.approx(original.state()[2], rel=1e-9)
+            assert seeded.features[0].state() == (0, 0.0, 0.0)
+
+    def test_empty_column_leaves_the_statistics_empty(self):
+        empty = VectorStats(2, [0, 1], 2)
+        column = empty.moments()
+        assert column == [0.0, 0.0, 0.0, 0.0, 0.0]
+        seeded = VectorStats(2, [0, 1], 2)
+        seeded.seed_targets(column)
+        assert seeded.state() == empty.state()
+        assert seeded.n_seen == 0
 
 
 def _clamped(z):

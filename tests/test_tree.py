@@ -60,14 +60,15 @@ class TestTreeConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"delta": 0.0}, {"delta": 1.0}, {"tau": -0.1}, {"grace_period": 0},
-        {"tau": float("nan")},
+        {"tau": float("nan")}, {"seed": 2**63},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             TreeConfig(**kwargs)
 
     def test_negative_seed_is_rejected(self):
-        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        with pytest.raises(ValueError,
+                           match="seed must be >= 0 and <= 9223372036854775807, got -1"):
             TreeConfig(seed=-1)
 
 
