@@ -80,11 +80,12 @@ def _expect(value, kind: type | tuple, what: str):
 
 def _from_json(value, declared: Setting):
     """`value` as a setting of the `declared` kind. JSON has no tuple and no
-    integral float, so a list becomes a tuple, an integral float such as 1e4
-    becomes an int in an integer setting, and an object becomes the nested
-    config dataclass. Every other value passes as it is, for the config
-    dataclass to check."""
-    if declared.kind is int and isinstance(value, float) and value.is_integer():
+    integral float, so a list becomes a tuple, an integral float within
+    +-2**63 becomes an int in an integer setting (1e300 stays a float), and an
+    object becomes the nested config dataclass. Every other value passes as
+    it is, for the config dataclass to check."""
+    if (declared.kind is int and isinstance(value, float) and value.is_integer()
+            and abs(value) <= 2**63):
         return int(value)
     if declared.kind is tuple and isinstance(value, list):
         return tuple(_from_json(item, declared.items) for item in value)

@@ -167,13 +167,11 @@ class LeafPredictorSet:
     def fade_slots(self) -> int:
         return self.n_targets * len(self.fmae) + 1 if self.fmae else 0
 
-    def state(self) -> tuple:
-        # the mtstream-tree/1 layout: each predictor's numerators, then its
-        # denominators, one per target (here all the shared `den`)
-        den = (self.den,) * self.n_targets
-        return (
-            self.variant.value,
-            tuple(map(tuple, self.base.tolist())) if self.base is not None else None,
-            tuple(map(tuple, self.meta.tolist())) if self.meta is not None else None,
-            tuple((name, (tuple(self.fmae[name]), den)) for name in sorted(self.fmae)),
-        )
+    def state(self) -> dict:
+        """JSON-ready weights and faded errors as stored."""
+        return {
+            "base": self.base.tolist() if self.base is not None else None,
+            "meta": self.meta.tolist() if self.meta is not None else None,
+            "fmae": {name: list(num) for name, num in self.fmae.items()},
+            "den": self.den,
+        }

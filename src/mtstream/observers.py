@@ -103,7 +103,8 @@ class EBSTObserver:
             rows[:, inverse[n:]] = block.T
         else:
             rows[:, order[first] >= n] = -0.0  # runs headed by a block value
-            np.add.at(rows.T, inverse[n:], block)
+            with np.errstate(over="ignore"):  # inf makes no candidate
+                np.add.at(rows.T, inverse[n:], block)
         self.keys = keys
         self.rows = rows
 
@@ -119,20 +120,22 @@ class EBSTObserver:
         keys[i] and right[:, i] is the parent aggregate minus it, or None
         below two distinct keys. Examples missing this feature are in the
         parent but in no column, so they count on the right, where the tree
-        routes them. Candidates need at least one example per side.
+        routes them. Candidates need at least one example per side and a
+        finite merit: moments beyond float range make no candidate.
         """
         if len(self.keys) < 2:
             return None
-        left = np.cumsum(self.rows, axis=1)
-        whole = parent.column
-        right = whole - left
-        valid = (left[0] >= 1.0) & (right[0] >= 1.0)
-        parent_cnt = whole[0, 0]
-        merits = (
-            parent.icvar
-            - (left[0] / parent_cnt) * _icvar_rows(left)
-            - (right[0] / parent_cnt) * _icvar_rows(right)
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            left = np.cumsum(self.rows, axis=1)
+            whole = parent.column
+            right = whole - left
+            parent_cnt = whole[0, 0]
+            merits = (
+                parent.icvar
+                - (left[0] / parent_cnt) * _icvar_rows(left)
+                - (right[0] / parent_cnt) * _icvar_rows(right)
+            )
+        valid = (left[0] >= 1.0) & (right[0] >= 1.0) & np.isfinite(merits)
         return merits, valid, left, right
 
     def candidate_merits(self, parent) -> list[tuple[float, float, list, list]]:
@@ -164,17 +167,10 @@ class EBSTObserver:
                                threshold=float(self.keys[i]),
                                child_stats=[left[:, i].tolist(), right[:, i].tolist()])
 
-    def key_ordered_dump(self) -> list:
-        """(key, count, sums, sumsqs) rows of the folded values in increasing
-        key order; each key is the stored float, its value's first-seen form
-        (an integer 1 dumps as 1.0, and -0.0 stays -0.0)."""
-        d = self.n_targets
-        return [[key, column[0], column[1:1 + d], column[1 + d:]]
-                for key, column in zip(self.keys.tolist(), self.rows.T.tolist())]
-
     def dump(self) -> dict:
-        """JSON-ready state of the folded values."""
-        return {"kind": "numeric", "nodes": self.key_ordered_dump()}
+        """JSON-ready `keys` and `rows` as stored: each key is its value's
+        first-seen float (an integer 1 dumps as 1.0, and -0.0 stays -0.0)."""
+        return {"kind": "numeric", "keys": self.keys.tolist(), "rows": self.rows.tolist()}
 
     def memory_slots(self) -> int:
         # key + count + per-target (sum, sumsq) per folded distinct value
@@ -201,7 +197,7 @@ def _icvar_rows(block: np.ndarray) -> np.ndarray:
     cnt = block[0]
     d = (len(block) - 1) // 2
     sums = block[1:1 + d]
-    with np.errstate(divide="ignore", invalid="ignore"):  # cnt < 2: zeroed below
+    with np.errstate(all="ignore"):  # cnt < 2: zeroed below; inf or NaN: no candidate
         var = block[1 + d:] - sums * sums / cnt
         var /= cnt - 1.0
         np.maximum(var, 0.0, out=var)
@@ -229,7 +225,8 @@ class NominalObserver:
 
     def fold(self, categories: np.ndarray, block: np.ndarray) -> None:
         """Add the rows of `block` to their categories in arrival order."""
-        np.add.at(self.rows.T, categories.astype(np.intp), block)
+        with np.errstate(over="ignore"):  # inf makes no candidate
+            np.add.at(self.rows.T, categories.astype(np.intp), block)
 
     @property
     def observed_categories(self) -> int:
@@ -248,15 +245,14 @@ class NominalObserver:
         for cnt, child_icvar in zip(rows[0].tolist(), _icvar_rows(rows).tolist()):
             if cnt > 0:
                 merit -= (cnt / parent_cnt) * child_icvar
+        if not np.isfinite(merit):  # moments beyond float range
+            return None
         return SplitSuggestion(feature=feature, merit=merit, threshold=None,
                                child_stats=rows.T.tolist())
 
     def dump(self) -> dict:
-        """JSON-ready state: count, sums and sums of squares per category."""
-        d = self.n_targets
-        rows = self.rows
-        return {"kind": "nominal", "cnt": rows[0].tolist(),
-                "sums": rows[1:1 + d].T.tolist(), "sumsqs": rows[1 + d:].T.tolist()}
+        """JSON-ready `rows` as stored."""
+        return {"kind": "nominal", "rows": self.rows.tolist()}
 
     def memory_slots(self) -> int:
         return self.n_categories * (1 + 2 * self.n_targets)

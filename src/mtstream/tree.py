@@ -8,10 +8,9 @@ is confidently ahead. Split decisions read only statistics and
 observers - never leaf-model errors - so every variant grows the same tree
 skeleton on the same stream.
 
-Concurrency contract: a tree is single-writer (learn needs exclusive access,
-and so does serialize, which folds the pending blocks first); predict is
-read-only and may run concurrently with other predicts. Distinct trees are
-fully independent.
+Concurrency contract: `learn` needs exclusive access; `predict`, `serialize`
+and `model_size_bytes` only read, and may run concurrently with each other.
+Distinct trees are fully independent.
 """
 
 from __future__ import annotations
@@ -30,7 +29,8 @@ from .schema import (NOMINAL, SEED, Instance, Prediction, StreamSchema, Variant,
 from .splitting import MeritRatio, decide_split
 from .stats import VectorStats
 
-SERIAL_FORMAT = "mtstream-tree/1"
+SERIAL_FORMAT = "mtstream-tree/2"
+SKELETON_FORMAT = "mtstream-tree/1"  # split structure only: unchanged since /1
 
 # Size accounting: every stored float/int/reference counts as one 8-byte slot.
 NODE_BASE_SLOTS = 4  # kind tag, feature id, threshold, child count
@@ -305,8 +305,7 @@ class MultiTargetHoeffdingTree:
           denominator; 3 counter slots.
 
         A leaf's pending block (at most `grace_period` rows, folded at every
-        split attempt) is not counted. `serialize()` folds it first, so it
-        can raise a later count.
+        split attempt) is not counted.
         """
         total_slots = 0
         stack = [self.root]
@@ -332,15 +331,15 @@ class MultiTargetHoeffdingTree:
         """Self-describing tree snapshot. With `include_leaf_state=False` only
         the skeleton (split structure) is captured, which is identical across
         variants trained on the same stream - so the skeleton form carries no
-        variant tag. Leaf state is nested tuples and lists, which `serialize`
-        writes as JSON arrays alike."""
+        variant tag. A leaf is written as stored, its pending rows included
+        (missing values as None), so a snapshot changes nothing."""
         doc = {
-            "format": SERIAL_FORMAT,
+            "format": SERIAL_FORMAT if include_leaf_state else SKELETON_FORMAT,
             "n_features": self.schema.n_features,
             "n_targets": self.schema.n_targets,
             "leaf_count": self.leaf_count,
             "split_count": self.split_count,
-            "root": _node_dict(self.root, include_leaf_state, self.config.grace_period),
+            "root": _node_dict(self.root, include_leaf_state),
         }
         if include_leaf_state:
             doc["variant"] = self.config.variant.value
@@ -356,23 +355,23 @@ class MultiTargetHoeffdingTree:
         return self.serialize(include_leaf_state=False)
 
 
-def _node_dict(node, include_leaf_state: bool, grace_period: int) -> dict:
+def _node_dict(node, include_leaf_state: bool) -> dict:
     if not node.is_leaf:
         return {
             "kind": "split",
             "feature": node.feature,
             "threshold": node.threshold,
-            "children": [_node_dict(c, include_leaf_state, grace_period) for c in node.children],
+            "children": [_node_dict(c, include_leaf_state) for c in node.children],
         }
     if not include_leaf_state:
         return {"kind": "leaf"}
-    node.fold_pending()
     return {
         "kind": "leaf",
         "examples_seen": node.examples_seen,
-        "since_attempt": node.examples_seen % grace_period,
         "ratio": node.ratio.state(),
         "stats": node.stats.state(),
         "predictors": node.predictors.state(),
         "observers": [obs.dump() for obs in node.observers],
+        "pending_x": [None if v != v else v for v in node.pending_x],
+        "pending_y": node.pending_y.tolist(),
     }

@@ -211,12 +211,16 @@ class TestRun:
         pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"], "seeds": [-1]}},
                      f"bad evaluation section: seeds[0] {_SEED_RANGE}, got -1",
                      id="seed_negative"),
-        # JSON reads 1e300 as an integral float, so an integer setting takes
-        # its int; unbounded, it ran every cell and then failed on a report
-        # file name too long to create
+        # JSON reads 1e300 as an integral float; beyond +-2**63 it stays a
+        # float, so the message shows it in its short form. Unbounded, it ran
+        # every cell and then failed on a report file name too long to create
         pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"], "seeds": [1e300]}},
-                     f"bad evaluation section: seeds[0] {_SEED_RANGE}, got {int(1e300)}",
+                     "bad evaluation section: seeds[0] must be an integer, got 1e+300",
                      id="seed_beyond_range"),
+        pytest.param(lambda doc: {**doc, "evaluation": {**doc["evaluation"],
+                                                        "seeds": [float(2**63)]}},
+                     f"bad evaluation section: seeds[0] {_SEED_RANGE}, got {2**63}",
+                     id="seed_float_beyond_range"),
         pytest.param(lambda doc: _with_generator(doc, seed=2**63),
                      f"bad generator spec: seed {_SEED_RANGE}, got {2**63}",
                      id="generator_seed_beyond_range"),
@@ -314,6 +318,17 @@ class TestRun:
         assert err.startswith("error: ")
         assert message in err
         assert "Traceback" not in err
+
+    def test_seed_far_beyond_range_gets_a_short_error(self, tmp_path, capsys):
+        """The message names 1e300 as written, not its 301-digit integer."""
+        cfg = run_config(tmp_path, seeds=(1e300,))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and "seeds[0]" in lines[0]
+        assert len(lines[0]) <= 120
 
     @pytest.mark.parametrize("setting, literal, message", [
         ("noise_sd", "NaN", "bad generator spec: noise_sd must be a finite number, got nan"),

@@ -180,8 +180,9 @@ class TestFadedError:
         score(ps, mean=math.inf, perceptron=1e300)
         pred = ps.select_from(ps._candidates([0.0, 0.0], stats))
         assert pred.per_target_source == ("perceptron",)
-        zeros = ((0.0, 0.0), (0.0, 0.0))
-        assert make_set(Variant.ADAPTIVE).state()[3] == (("mean", zeros), ("perceptron", zeros))
+        state = make_set(Variant.ADAPTIVE).state()
+        assert (state["fmae"], state["den"]) == ({"mean": [0.0, 0.0], "perceptron": [0.0, 0.0]},
+                                                 0.0)
 
 
 class TestSelection:
@@ -287,16 +288,16 @@ class TestHotPathTypes:
         for values in candidates.values():
             assert all(type(v) is float for v in values)
         reference = {
-            name: (tuple(0.95 * e + abs(y - p)
-                         for e, y, p in zip(ps.fmae[name], probe.targets, pred)),
-                   (0.95 * ps.den + 1.0,) * ps.n_targets)
+            name: [0.95 * e + abs(y - p) for e, y, p in zip(ps.fmae[name], probe.targets, pred)]
             for name, pred in candidates.items()
         }
+        den = 0.95 * ps.den + 1.0
         ps.score_candidates(candidates, probe.targets)
         assert type(ps.den) is float
-        for name, state in ps.state()[3]:
+        state = ps.state()
+        assert (state["fmae"], state["den"]) == (reference, den)
+        for name in state["fmae"]:
             assert all(type(v) is float for v in ps.fmae[name])
-            assert state == reference[name]
 
 
 class TestInheritance:

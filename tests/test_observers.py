@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -51,34 +53,32 @@ class TestInsert:
         obs = EBSTObserver(2)
         obs.insert(1.0, (3.0, 4.0))
         assert obs.distinct_keys == 1
-        key, cnt, sums, sumsqs = obs.key_ordered_dump()[0]
-        assert (key, cnt) == (1.0, 1.0)
-        assert sums == [3.0, 4.0]
-        assert sumsqs == [9.0, 16.0]
+        # one column: count, sums, sums of squares
+        assert obs.dump() == {"kind": "numeric", "keys": [1.0],
+                              "rows": [[1.0], [3.0], [4.0], [9.0], [16.0]]}
 
-    def test_first_seen_order_and_key_ordered_dump(self):
+    def test_first_seen_order_and_dump(self):
         obs = build_observer([(2.0, (1.0,)), (1.0, (2.0,)), (3.0, (3.0,)),
                               (1.0, (4.0,))], 1)
         # keys are kept sorted whatever order they arrive in
         assert obs.keys.tolist() == [1.0, 2.0, 3.0]
         assert obs.rows[:2].T.tolist() == [[2.0, 6.0], [1.0, 1.0], [1.0, 3.0]]
-        assert obs.key_ordered_dump() == [[1.0, 2.0, [6.0], [20.0]],
-                                          [2.0, 1.0, [1.0], [1.0]],
-                                          [3.0, 1.0, [3.0], [9.0]]]
+        assert obs.dump() == {"kind": "numeric", "keys": [1.0, 2.0, 3.0],
+                              "rows": [[2.0, 1.0, 1.0], [6.0, 1.0, 3.0], [20.0, 1.0, 9.0]]}
 
     def test_equal_numbers_share_the_first_seen_key(self):
         obs = build_observer([(0.0, (1.0,)), (-0.0, (1.0,)), (1, (2.0,)),
                               (1.0, (2.0,))], 1)
         assert obs.distinct_keys == 2
-        dump = obs.key_ordered_dump()
-        assert [repr(row[0]) for row in dump] == ["0.0", "1.0"]
-        assert [row[1] for row in dump] == [2.0, 2.0]
+        dump = obs.dump()
+        assert [repr(key) for key in dump["keys"]] == ["0.0", "1.0"]
+        assert dump["rows"][0] == [2.0, 2.0]
 
     def test_equal_keys_fold_into_one_node(self):
         obs = build_observer([(1.5, (1.0,)), (1.5, (2.0,))], 1)
         assert obs.distinct_keys == 1
-        key, cnt, sums, _ = obs.key_ordered_dump()[0]
-        assert cnt == 2.0
+        cnt, sums, _ = obs.dump()["rows"]
+        assert cnt == [2.0]
         assert sums == [3.0]
 
     def test_partition_counts_match_brute_force(self):
@@ -158,6 +158,21 @@ class TestScanSplits:
                 assert shuffled[key] == pytest.approx(reference[key], abs=1e-9)
 
 
+class TestDump:
+    def test_each_dump_is_the_stored_block(self):
+        numeric, nominal = EBSTObserver(2), NominalObserver(3, 2)
+        block = moment_block([(1.0, 2.0), (3.0, -0.0), (0.5, 4.0)])
+        numeric.fold(np.array([-0.0, 2.5, 0.0]), block)
+        nominal.fold(np.array([2.0, 0.0, 2.0]), block)
+        assert numeric.dump() == {"kind": "numeric", "keys": numeric.keys.tolist(),
+                                  "rows": numeric.rows.tolist()}
+        assert nominal.dump() == {"kind": "nominal", "rows": nominal.rows.tolist()}
+        # -0.0 arrived first, so it is the stored key, in the dump and its JSON
+        assert repr(numeric.dump()["keys"]) == "[-0.0, 2.5]"
+        assert json.dumps(numeric.dump()["keys"]) == "[-0.0, 2.5]"
+        assert numeric.dump()["rows"][0] == [2.0, 1.0]
+
+
 # values that collide in a hash index but not in identity: signed zeros and
 # ints equal to floats, next to plain repeats
 _VALUES = st.sampled_from([0.0, -0.0, 0, 1, 1.0, -1, -1.0, 2.5, 3, 3.0, -7.25, 1e6])
@@ -175,7 +190,7 @@ class TestHashIndexProperties:
         perm = data.draw(st.permutations(pairs))
         obs = build_observer(pairs, 2)
         shuffled = build_observer(perm, 2)
-        assert shuffled.key_ordered_dump() == obs.key_ordered_dump()
+        assert shuffled.dump() == obs.dump()
         assert obs.distinct_keys == len({v for v, _ in pairs})
 
         parent = moments([y for _, y in pairs])
@@ -187,15 +202,16 @@ class TestHashIndexProperties:
 
 
 def one_at_a_time_dump(pairs, d):
-    """key_ordered_dump() of pairs folded in plain Python floats: a value's
-    first example sets its row, later ones add to it in arrival order; the
-    key is the float of the value's first-seen form."""
-    rows = {}
+    """dump() of pairs folded in plain Python floats: a value's first example
+    sets its column, later ones add to it in arrival order; the key is the
+    float of the value's first-seen form."""
+    columns = {}
     for v, y in pairs:
-        row = [1.0, *y, *[t * t for t in y]]
-        rows[v] = [a + b for a, b in zip(rows[v], row)] if v in rows else row
-    return [[float(key), row[0], row[1:1 + d], row[1 + d:]]
-            for key, row in sorted(rows.items())]
+        column = [1.0, *y, *[t * t for t in y]]
+        columns[v] = [a + b for a, b in zip(columns[v], column)] if v in columns else column
+    ordered = sorted(columns.items())
+    rows = np.array([column for _, column in ordered]).reshape(-1, 1 + 2 * d).T
+    return {"kind": "numeric", "keys": [float(key) for key, _ in ordered], "rows": rows.tolist()}
 
 
 # targets whose sums depend on the order of addition, and a signed zero
@@ -233,14 +249,14 @@ class TestBlockFold:
         folded, folded_nominal = leaf.observers
 
         reference = one_at_a_time_dump([(v, y) for v, _, y in rows if v is not None], 2)
-        assert repr(folded.key_ordered_dump()) == repr(numeric.key_ordered_dump())
-        assert repr(numeric.key_ordered_dump()) == repr(reference)
+        assert repr(folded.dump()) == repr(numeric.dump())
+        assert repr(numeric.dump()) == repr(reference)
         assert folded.distinct_keys == numeric.distinct_keys
         assert folded.memory_slots() == numeric.memory_slots()
         assert repr(folded.keys.tolist()) == repr(numeric.keys.tolist())
         # the stored keys are the split thresholds: each is its value's
         # first-seen float (-0.0 stays -0.0 after a later 0.0)
-        assert repr(folded.keys.tolist()) == repr([float(key) for key, *_ in reference])
+        assert repr(folded.keys.tolist()) == repr(reference["keys"])
         assert repr(folded_nominal.rows.tolist()) == repr(nominal.rows.tolist())
 
 
@@ -329,7 +345,7 @@ class TestNominalObserver:
         n = 200
         for _ in range(n):
             obs.insert(int(rng.integers(0, 4)), tuple(rng.normal(size=2).tolist()))
-        assert sum(obs.dump()["cnt"]) == n
+        assert sum(obs.dump()["rows"][0]) == n
 
     def test_matches_batch_partition_oracle(self):
         rng = np.random.default_rng(9)

@@ -72,35 +72,35 @@ def report_digest(tmp_dir) -> str:
 
 FULL = {
     ('friedman_mt', 'mean'):
-        '5fd305517dc76e7952e6238d9f493ffa4545dc8cd5422894ead0de3a2a96cb7e',
+        '518225206bd5791c5ae03fb62bf457418d709330c84b181c4a42f84ca60f65e7',
     ('friedman_mt', 'perceptron'):
-        '1245b7c8bee18affd0ac65cdc70c18c87b4d13732c7099c35fb42fd79f8e5340',
+        '46722a9aae089a709951d7ea89beac5faf590421c05af7a41caafe66a870ec1a',
     ('friedman_mt', 'adaptive'):
-        'a598f9f049b6126a3c5c8bf4f697df1929b3e2a002db338a8e0f200427e7720f',
+        'f89f1256a23ccef4afa53cf1fdc5796291f9c0bc35ac215ccd45981c09ee6466',
     ('friedman_mt', 'stacked'):
-        'ccd3505465536b7f63667c14dc98f69c12366c980cee97eeb4efec3ec3b97692',
+        'c1b9ddf942a58725c7efed03d8d71002b69a14a53676d9953b724bfc1e1501f7',
     ('friedman_mt', 'stacked_adaptive'):
-        'f6def69bd68fa682c594e11642d3e7368ac12aa4388a63746a07e41c57b2d552',
+        'e60d98d611312ece98836e780503e2a71d57ccc3b95cb1ca93ea4eebd1749524',
     ('plane_mt', 'mean'):
-        'ffe0e8320c64f614031879d14de11c82d3c51fd85733765a94817cab9dd8c316',
+        '8eb412d6570831ac831a0eaa05dddfa85e932a7530b01331886f90df526e782b',
     ('plane_mt', 'perceptron'):
-        '899a521e6cf321ae785bbe03a74266c85e28844b1e08569fbd66080f5238102b',
+        'b2da7e79f1feabdd80014d261ec19b2f10402ee8df7ed24c181100ffec3f9f28',
     ('plane_mt', 'adaptive'):
-        '78838dd01fd85ebb15a0269356dc28c7d5b5117c8879b0b25eadc2b7e566484d',
+        '22f514cbe954813a07cf96b36d0efa1146d76de398d41a896d5e994fea966677',
     ('plane_mt', 'stacked'):
-        '1924b7fc9dec0032360587b1b5919402dfece32270cff30a05eb3cfe428d0571',
+        '2fa5f6ee7c6e2da63e523d4be343a0c5f539dc55f3c9745a4a897ddeafea6b55',
     ('plane_mt', 'stacked_adaptive'):
-        '7fc965487ba3787846c81eea90f66176c2ab2e8c654fa9e84fff80225de36465',
+        'ed4ffdaf7cbb6d9d3e64715b0df462f12372c7f277bde3ed938734535279cce8',
     ('mv_like', 'mean'):
-        '89a7723b9594691ecd50b9b0816c0aa8760ae6ebb43eca0eec511048b6e763bf',
+        '41f347cb016f63a3891f87641e5a10d043a9ddef47ac3bc0c97b6823e15f154c',
     ('mv_like', 'perceptron'):
-        'd64bda0ef3a53f4e4a1eee264c3a41a24b318bde674c0a6c2370486e44bfc883',
+        '2bd304afac79567e973cd9c7c2dd957ab4fcd933a30f5e4f28366c06dadfaaad',
     ('mv_like', 'adaptive'):
-        'c5542872e5d2a4266b1070882d7d53e85f013436fa770f6986e8bc5f1d4a96ab',
+        '5d89b198519a6f58a1cd5c561cab190f730878d66a6c2fa3fb7933fc1a3275fa',
     ('mv_like', 'stacked'):
-        '0f9917b699c1d26e8d05c44961df833f14b1cfe57a3e62b16cf8a0d20efdd8e3',
+        '8c18a0f00a950a9762e88319dd35d2e25c030ca7f5e803f7d275bf49b45a67c9',
     ('mv_like', 'stacked_adaptive'):
-        '12670309f5542ff7ddb359ae561469bf01483a4de5ed408b47756f24600dcab5',
+        'e4f12b8fc044339b8218795c3718d8df3d46273cce711765ab3d2770e445da89',
 }
 
 SKELETON = {

@@ -1,8 +1,10 @@
 import gc
+import json
 import math
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -379,6 +381,32 @@ class TestSplitting:
         assert tree.root.threshold is None
         assert len(tree.root.children) == 3  # declared categories, observed or not
 
+    @pytest.mark.parametrize("nominal", [False, True], ids=["numeric", "nominal"])
+    def test_moments_beyond_float_range_make_no_candidate(self, nominal):
+        """Targets of +-1e153 square beyond float range, so every merit is inf
+        or NaN. Such a candidate is no candidate: no numpy warning, and no NaN
+        merit ratio that would keep the leaf from ever splitting."""
+        if nominal:
+            schema = StreamSchema(features=(FeatureSpec("c", kind=NOMINAL, categories=("a", "b")),
+                                            FeatureSpec("x")),
+                                  targets=("y",))
+        else:
+            schema = numeric_schema(2, 1)
+        tree = MultiTargetHoeffdingTree(schema, TreeConfig(variant=Variant.MEAN,
+                                                           grace_period=50))
+        rng = np.random.default_rng(0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(2000):
+                x0, x1, u = rng.random(3).tolist()
+                sign = 1.0 if x0 > 0.5 else -1.0
+                features = (int(x0 > 0.5), x1) if nominal else (x0, x1)
+                tree.learn(Instance(features=features, targets=(sign * 1e153 * (1.0 + u),)))
+        assert tree.split_attempt_count == 40
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
+        for leaf in _leaves(tree):
+            assert all(math.isfinite(v) for v in leaf.ratio.state())
+
 
 class TestDeterminismAndStructure:
     def test_same_seed_same_bytes(self):
@@ -545,11 +573,10 @@ class TestMemoryLayout:
 
 class TestSerialization:
     def test_format_is_versioned_and_round_trips_as_json(self):
-        import json
         tree = grown_tree(linear_instances(500), numeric_schema(3, 2),
                           variant=Variant.STACKED_ADAPTIVE)
         doc = json.loads(tree.serialize())
-        assert doc["format"] == "mtstream-tree/1"
+        assert doc["format"] == "mtstream-tree/2"
         assert doc["root"]["kind"] in ("leaf", "split")
 
     def test_skeleton_hides_leaf_state(self):
@@ -578,10 +605,25 @@ class TestSerialization:
         probed = MultiTargetHoeffdingTree(schema, config)
         plain_predictions = [plain.predict_then_learn(inst) for inst in instances]
         probed_predictions = []
+        missing_seen = False
         for k, inst in enumerate(instances):
             probed_predictions.append(probed.predict_then_learn(inst))
             if k % 37 == 5:  # mid grace period: the leaves hold pending examples
-                probed.serialize()
+                size = probed.model_size_bytes()
+                text = probed.serialize()
+                assert probed.model_size_bytes() == size
+                assert probed.serialize() == text
+                for leaf in _doc_leaves(json.loads(text)["root"]):
+                    # 3 features and 2 targets per pending example
+                    assert 2 * len(leaf["pending_x"]) == 3 * len(leaf["pending_y"])
+                    missing_seen = missing_seen or None in leaf["pending_x"]
+        assert missing_seen  # a missing value is written as null
         assert plain.split_count >= 1
         assert probed_predictions == plain_predictions
         assert probed.serialize() == plain.serialize()
+
+
+def _doc_leaves(node):
+    if node["kind"] == "leaf":
+        return [node]
+    return [leaf for child in node["children"] for leaf in _doc_leaves(child)]
