@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import statistics
@@ -36,6 +37,7 @@ from .schema import SETTING, SchemaError, Setting, Variant
 from .streams import (
     ConfigError,
     GeneratorSpec,
+    StoredStream,
     make_stream,
     read_csv,
     write_csv,
@@ -215,9 +217,17 @@ def _make_source(entry: dict):
 
 
 def _run_cell(payload: dict) -> WindowedReport:
-    """One (dataset, variant, seed) cell; module-level for process pools."""
-    return run_prequential(_make_source(payload["dataset"]), payload["tree"],
+    """One (dataset, variant, seed) cell over `payload["source"]`."""
+    return run_prequential(payload["source"], payload["tree"],
                            payload["evaluation"], dataset=payload["dataset"]["name"])
+
+
+def _run_cells(payloads: list[dict]) -> list[WindowedReport]:
+    """Cells of one (dataset, seed) stream, in order: the stream is read once
+    into a stored copy that every cell replays. Module-level for process
+    pools; each cell goes through the module's `_run_cell`."""
+    source = StoredStream(_make_source(payloads[0]["dataset"]))
+    return [_run_cell({**payload, "source": source}) for payload in payloads]
 
 
 def _leaf_cost(variant_name: str) -> tuple:
@@ -225,6 +235,24 @@ def _leaf_cost(variant_name: str) -> tuple:
     base layer, then the number of selectable predictors."""
     variant = Variant(variant_name)
     return variant.has_meta_layer, variant.has_base_layer, len(variant.selectable)
+
+
+def _tasks(payloads: list[dict], jobs: int) -> list[list[int]]:
+    """The cells as tasks of payload indices, each task on one (dataset,
+    seed) stream. With fewer streams than `jobs`, a stream's cells are dealt
+    round-robin into ceil(jobs / streams) tasks, so no worker sits idle. A
+    task lists the costliest leaves first, and the costliest tasks come
+    first, so no slow cell starts last."""
+    streams: dict[tuple, list[int]] = {}
+    for i, payload in enumerate(payloads):
+        streams.setdefault((payload["dataset"]["name"], payload["tree"].seed), []).append(i)
+    cost = lambda i: _leaf_cost(payloads[i]["tree"].variant.value)  # noqa: E731
+    split = math.ceil(jobs / len(streams))
+    tasks = []
+    for cells in streams.values():
+        cells.sort(key=cost, reverse=True)
+        tasks.extend(cells[k::split] for k in range(min(split, len(cells))))
+    return sorted(tasks, key=lambda task: cost(task[0]), reverse=True)
 
 
 def report_filename(dataset: str, variant: str, seed: int) -> str:
@@ -238,7 +266,7 @@ def cmd_run(args) -> int:
     variants = parse_variants(doc.get("variants"))
     tree = parse_tree_section(doc.get("tree", {}), variants[0], args.seed)
     preq = parse_evaluation_section(doc.get("evaluation", {}), args.seed)
-    for entry in datasets:  # each cell opens its source again
+    for entry in datasets:  # each task opens its source again
         try:
             _make_source(entry)
         except (OSError, ValueError) as exc:
@@ -254,17 +282,18 @@ def cmd_run(args) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = args.jobs or os.cpu_count() or 1
-    if jobs > 1 and len(payloads) > 1:
-        # longest leaf stack first, so no slow cell starts last; reports keep
-        # the config order
-        order = sorted(range(len(payloads)), reverse=True,
-                       key=lambda i: _leaf_cost(payloads[i]["tree"].variant.value))
-        reports = [None] * len(payloads)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for i, report in zip(order, pool.map(_run_cell, [payloads[i] for i in order])):
-                reports[i] = report
+    tasks = _tasks(payloads, jobs)
+    task_payloads = [[payloads[i] for i in task] for task in tasks]
+    workers = min(jobs, len(tasks))  # the pool starts all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_run_cells, task_payloads))
     else:
-        reports = [_run_cell(p) for p in payloads]
+        done = [_run_cells(task) for task in task_payloads]
+    reports = [None] * len(payloads)  # written in the config order
+    for task, task_reports in zip(tasks, done):
+        for i, report in zip(task, task_reports):
+            reports[i] = report
 
     for report in reports:
         write_report_csv(report, out_dir / report_filename(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import pickle
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -363,7 +364,9 @@ class CsvSchemaDecl:
 
 
 class CsvStream:
-    """Streams a UTF-8, comma-separated, headered file in row order.
+    """Streams a UTF-8, comma-separated, headered file in row order. A
+    leading byte-order mark, as spreadsheet programs write, is not part of
+    the first column's name.
 
     Malformed rows (unparsable numerics, unknown category labels, non-finite
     targets) are skipped and counted in `skipped_rows`; a header that does not
@@ -378,7 +381,7 @@ class CsvStream:
         self._column_map = self._check_header()
 
     def _check_header(self) -> dict[str, int]:
-        with open(self.path, "r", encoding="utf-8", newline="") as fh:
+        with open(self.path, "r", encoding="utf-8-sig", newline="") as fh:
             header = next(csv.reader(fh), None)
         if header is None:
             raise SchemaError(f"{self.path}: empty file, expected a header row")
@@ -418,7 +421,7 @@ class CsvStream:
         cols = self._column_map
         features = self.schema.features
         targets = self.schema.targets
-        with open(self.path, "r", encoding="utf-8", newline="") as fh:
+        with open(self.path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             next(reader)  # header, validated at construction
             for row in reader:
@@ -443,6 +446,41 @@ class CsvStream:
 
 class _RowError(ValueError):
     pass
+
+
+# examples per pickled block of a StoredStream: a replay decodes one block at
+# a time, and 256 rows keep that decoded copy near 0.14 MB for mv_like while
+# replaying as fast as larger blocks
+_STORED_ROWS = 256
+
+
+class StoredStream:
+    """One pass of a source, kept in memory and replayed on every iteration.
+
+    The examples are stored as pickled blocks of at most 256
+    `(features, targets)` tuples, about 8 bytes per value, and rebuilt into
+    `Instance`s on replay: floats, int categories, None and -0.0 come back
+    with their types and bits. (Stored `Instance` objects would take about
+    five times the memory.) `skipped_rows` is the source's count for the pass
+    that was stored."""
+
+    def __init__(self, source):
+        self.schema = source.schema
+        self._blocks = []
+        rows = []
+        for inst in source:
+            rows.append((inst.features, inst.targets))
+            if len(rows) == _STORED_ROWS:
+                self._blocks.append(pickle.dumps(rows, pickle.HIGHEST_PROTOCOL))
+                rows = []
+        if rows:
+            self._blocks.append(pickle.dumps(rows, pickle.HIGHEST_PROTOCOL))
+        self.skipped_rows = getattr(source, "skipped_rows", 0)
+
+    def __iter__(self):
+        for block in self._blocks:
+            for features, targets in pickle.loads(block):
+                yield Instance(features, targets)
 
 
 def _names(value, what: str) -> tuple[str, ...]:

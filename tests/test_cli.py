@@ -453,6 +453,120 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 0
         assert (out / "disk__mean__seed0.csv").exists()
 
+    def test_csv_with_a_byte_order_mark_gives_the_same_report(self, tmp_path):
+        """Spreadsheet programs save "CSV UTF-8" with a leading BOM."""
+        plain = _write_mv_csv(tmp_path, "plain", n=300)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for name, path in (("plain", plain), ("marked", marked)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({
+                "datasets": [{"name": "mv", "csv": str(path),
+                              "schema": str(plain) + ".schema.json"}],
+                "variants": ["perceptron"],
+                "evaluation": {"window": 100, "warm_start": 100, "seeds": [0]}}))
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name),
+                         "--jobs", "1"]) == 0
+        strip = lambda rows: [{k: v for k, v in r.items() if k != "elapsed_s"} for r in rows]
+        report = "mv__perceptron__seed0.csv"
+        assert strip(read_rows(tmp_path / "marked" / report)) \
+            == strip(read_rows(tmp_path / "plain" / report))
+
+
+def _write_mv_csv(tmp_path, name, n, seed=4):
+    from mtstream.streams import GeneratorSpec, make_stream, write_csv
+
+    path = tmp_path / f"{name}.csv"
+    write_csv(make_stream(GeneratorSpec(family="mv_like", n_examples=n, n_targets=2,
+                                        seed=seed)), path)
+    return path
+
+
+_ALL_VARIANTS = ("mean", "perceptron", "adaptive", "stacked", "stacked_adaptive")
+
+
+class TestStreamTasks:
+    """`mtstream run` reads each (dataset, seed) stream once per task and
+    replays it to the task's cells."""
+
+    def test_each_csv_is_read_once_per_seed(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from mtstream.evaluation import (PrequentialConfig, read_report_csv,
+                                         run_prequential)
+        from mtstream.schema import Variant
+        from mtstream.streams import CsvStream, read_csv
+        from mtstream.tree import TreeConfig
+
+        paths = {name: _write_mv_csv(tmp_path, name, n=260, seed=k)
+                 for k, name in enumerate(("mv0", "mv1"))}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "datasets": [{"name": name, "csv": str(path), "schema": f"{path}.schema.json"}
+                         for name, path in paths.items()],
+            "variants": list(_ALL_VARIANTS),
+            "tree": {"grace_period": 50},
+            "evaluation": {"window": 60, "warm_start": 80, "seeds": [0, 1]}}))
+        passes = []
+        read = CsvStream.__iter__
+        monkeypatch.setattr(CsvStream, "__iter__",
+                            lambda source: passes.append(source.path) or read(source))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 0
+        assert sorted(passes) == sorted(list(paths.values()) * 2)
+
+        untimed = lambda rows: [replace(row, elapsed_s=0.0) for row in rows]
+        preq = PrequentialConfig(window=60, warm_start=80, seeds=(0, 1))
+        for name, path in paths.items():
+            for variant in _ALL_VARIANTS:
+                for seed in (0, 1):
+                    alone = run_prequential(
+                        read_csv(path, f"{path}.schema.json"),
+                        TreeConfig(variant=Variant(variant), seed=seed, grace_period=50),
+                        preq, dataset=name)
+                    ran = read_report_csv(out / f"{name}__{variant}__seed{seed}.csv")
+                    assert untimed(ran) == untimed(alone.rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_datasets=st.integers(1, 3), n_variants=st.integers(1, 5),
+           n_seeds=st.integers(1, 3), jobs=st.integers(1, 9))
+    def test_tasks_cover_the_cells_one_stream_each(self, n_datasets, n_variants, n_seeds,
+                                                   jobs):
+        from mtstream.cli import _leaf_cost, _tasks
+        from mtstream.schema import Variant
+        from mtstream.tree import TreeConfig
+
+        payloads = [{"dataset": {"name": f"d{d}"},
+                     "tree": TreeConfig(variant=Variant(variant), seed=seed)}
+                    for d in range(n_datasets)
+                    for variant in _ALL_VARIANTS[:n_variants]
+                    for seed in range(n_seeds)]
+        tasks = _tasks(payloads, jobs)
+        assert len(tasks) >= min(jobs, len(payloads))
+        assert sorted(i for task in tasks for i in task) == list(range(len(payloads)))
+        for task in tasks:
+            assert len({(payloads[i]["dataset"]["name"], payloads[i]["tree"].seed)
+                        for i in task}) == 1
+            costs = [_leaf_cost(payloads[i]["tree"].variant.value) for i in task]
+            assert costs == sorted(costs, reverse=True)
+
+    def test_pool_starts_no_more_workers_than_tasks(self, tmp_path, monkeypatch):
+        import mtstream.cli as cli
+
+        started = []
+
+        class RecordingPool(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        cfg = run_config(tmp_path, n=300, warm_start=100, seeds=(0, 1))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", "8"]) == 0
+        assert started == [2]
+        assert len(list(out.glob("toy__mean__seed*.csv"))) == 2
+
 
 class TestConfigDefaulting:
     def test_empty_sections_yield_the_benchmark_settings(self):

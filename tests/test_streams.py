@@ -1,7 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtstream.schema import NOMINAL, SchemaError
 from mtstream.streams import (
@@ -9,6 +13,7 @@ from mtstream.streams import (
     CsvSchemaDecl,
     DriftSpec,
     GeneratorSpec,
+    StoredStream,
     friedman_response,
     make_stream,
     mv_response,
@@ -318,3 +323,52 @@ class TestLength:
         source = make_stream(spec)
         assert len(source) == 77
         assert len(collect(source)) == 77
+
+
+_CATEGORIES = ("red", "blue", "green")
+_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.integers(-3, 3).map(float), st.just(-0.0))
+_ROWS = st.lists(st.one_of(
+    st.tuples(st.none() | _NUMBERS, st.none() | st.integers(0, 2), _NUMBERS),
+    st.just("bad")), max_size=40)
+
+
+class TestStoredStream:
+    @settings(max_examples=80, deadline=None)
+    @given(rows=_ROWS)
+    def test_replays_the_source_pass_with_its_types(self, rows):
+        """Missing numeric and nominal values, -0.0, integral floats and
+        skipped rows of a CSV come back from every replay as read."""
+        lines = ["x,c,y"]
+        for row in rows:
+            if row == "bad":
+                lines.append("1.0,red,oops")
+                continue
+            x, c, y = row
+            lines.append(f"{'' if x is None else repr(x)},"
+                         f"{'' if c is None else _CATEGORIES[c]},{y!r}")
+        decl = {"features": [{"name": "x"},
+                             {"name": "c", "kind": "nominal", "categories": list(_CATEGORIES)}],
+                "targets": ["y"]}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.csv"
+            path.write_text("\n".join(lines) + "\n")
+            source = read_csv(path, decl)
+            read = collect(source)
+            stored = StoredStream(source)
+        assert stored.schema is source.schema
+        assert stored.skipped_rows == source.skipped_rows == rows.count("bad")
+        for _ in range(2):
+            replayed = collect(stored)
+            assert replayed == read
+            assert [repr(i) for i in replayed] == [repr(i) for i in read]  # -0.0, 3 vs 3.0
+            assert [tuple(map(type, i.features + i.targets)) for i in replayed] \
+                == [tuple(map(type, i.features + i.targets)) for i in read]
+
+    def test_generated_stream_is_stored_in_blocks(self):
+        source = make_stream(GeneratorSpec(family="mv_like", n_examples=2500, n_targets=2,
+                                           seed=1))
+        stored = StoredStream(source)
+        assert len(stored._blocks) == 10  # 9 x 256 + 196 examples
+        assert stored.skipped_rows == 0
+        assert collect(stored) == collect(source)
