@@ -28,7 +28,7 @@ from .schema import (
     numeric_schema,
 )
 from .splitting import MeritRatio, decide_split, hoeffding_bound
-from .stats import RunningStats, VectorStats
+from .stats import VectorStats
 from .streams import (
     ConfigError,
     CsvSchemaDecl,
@@ -59,7 +59,6 @@ __all__ = [
     "ParentStats",
     "Prediction",
     "PrequentialConfig",
-    "RunningStats",
     "SchemaError",
     "SplitSuggestion",
     "StreamSchema",

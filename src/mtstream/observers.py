@@ -138,19 +138,6 @@ class EBSTObserver:
         valid = (left[0] >= 1.0) & (right[0] >= 1.0) & np.isfinite(merits)
         return merits, valid, left, right
 
-    def candidate_merits(self, parent) -> list[tuple[float, float, list, list]]:
-        """All (threshold, merit, left, right) tuples in increasing key order
-        for a parent moment column, left and right as moment columns;
-        materialized from the vectorized scan, mainly for inspection and
-        oracle checks."""
-        scan = self._scan(ParentStats(parent))
-        if scan is None:
-            return []
-        merits, valid, left, right = scan
-        return [(float(self.keys[i]), float(merits[i]), left[:, i].tolist(),
-                 right[:, i].tolist())
-                for i in np.flatnonzero(valid).tolist()]
-
     def best_splits(self, feature: int, parent: ParentStats) -> SplitSuggestion | None:
         """The highest-merit suggestion over this feature's candidate
         thresholds, or None when there is no candidate (below two distinct

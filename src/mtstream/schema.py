@@ -96,6 +96,11 @@ class FeatureSpec:
             raise SchemaError(f"nominal feature {self.name!r} needs a category set")
         if self.kind == NUMERIC and self.categories:
             raise SchemaError(f"numeric feature {self.name!r} cannot carry categories")
+        repeated = sorted({c for c in self.categories if self.categories.count(c) > 1})
+        if repeated:
+            # a CSV label maps to its first index, so a repeat's column and
+            # child could never see an example
+            raise SchemaError(f"nominal feature {self.name!r} repeats categories {repeated}")
 
 
 @dataclass(frozen=True)
@@ -158,16 +163,31 @@ class StreamSchema:
                 )
 
     def targets_finite(self, inst: "Instance") -> bool:
-        return all(map(math.isfinite, inst.targets))
+        """False at the first target that is NaN or an infinity; SchemaError
+        naming it if that target is not a real number."""
+        try:
+            return all(map(math.isfinite, inst.targets))
+        except TypeError:
+            for name, v in zip(self.targets, inst.targets):
+                try:
+                    math.isfinite(v)
+                except TypeError:
+                    raise SchemaError(f"target {name!r} is not a real number: {v!r}") from None
+            raise
 
     def features_finite(self, inst: "Instance") -> bool:
-        """False when a numeric feature holds NaN or an infinity."""
+        """False at the first numeric feature that holds NaN or an infinity;
+        SchemaError naming it if that value is not a real number."""
         features = inst.features
         isfinite = math.isfinite
-        for i in self._numeric_cache:
-            v = features[i]
-            if v is not None and not isfinite(v):
-                return False
+        try:
+            for i in self._numeric_cache:
+                v = features[i]
+                if v is not None and not isfinite(v):
+                    return False
+        except TypeError:
+            raise SchemaError(f"numeric feature {self.features[i].name!r} is not a real "
+                              f"number: {v!r}") from None
         return True
 
     def nonfinite_as_missing(self, inst: "Instance") -> "Instance":

@@ -1,9 +1,11 @@
 """Incremental sufficient statistics: variance, mean, and z-score scaling.
 
-RunningStats accumulates one variable; VectorStats bundles the per-feature and
-per-target statistics a leaf keeps. Updates are Welford-style so that variance
-stays accurate under large constant offsets; only `VectorStats.moments` and
-`seed_targets` convert the targets' accumulators to and from raw moments.
+A leaf's VectorStats keeps one RunningStats record (count, sum, centered
+second moment) per numeric feature and per target. `VectorStats.learn` is the
+one Welford update, so variance stays accurate under large constant offsets;
+`standardize_features`, `learn` and `target_scales` read the records as
+z-scores and scales, and only `VectorStats.moments` and `seed_targets`
+convert the targets' records to and from raw moments.
 """
 
 from __future__ import annotations
@@ -16,12 +18,15 @@ SD_EPSILON = 1e-12  # below this the standard deviation is treated as zero
 # fewer than MIN_STANDARDIZE_N examples are unreliable enough to blow up the
 # delta rule (a fresh leaf's first few values can make sd ~ 1e-3 and z-scores
 # in the hundreds), so model inputs stay at 0 until then and are clamped to
-# +/- Z_CLAMP afterwards. RunningStats.zscore itself is exact and unclamped.
+# +/- Z_CLAMP afterwards. Every z-score read here is such a model input.
 MIN_STANDARDIZE_N = 4
 Z_CLAMP = 10.0
 
 
 class RunningStats:
+    """One variable's record: count, sum, and the centered second moment
+    sum((v - mean)^2); `VectorStats` updates and reads it."""
+
     __slots__ = ("n", "sum", "_m2")
 
     def __init__(self, n: int = 0, total: float = 0.0, m2: float = 0.0):
@@ -29,66 +34,14 @@ class RunningStats:
         self.sum = total
         self._m2 = m2
 
-    def update(self, v: float) -> None:
-        """Fold one finite value into the statistics."""
-        if self.n == 0:
-            self.n = 1
-            self.sum += v
-            return
-        mean_old = self.sum / self.n
-        self.n += 1
-        self.sum += v
-        # m2 accumulates sum((v - mean)^2) via (v - old mean)(v - new mean)
-        self._m2 += (v - mean_old) * (v - self.sum / self.n)
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.n if self.n else 0.0
-
-    def variance(self) -> float:
-        """Sample variance (n-1 denominator); 0 for n < 2; never negative."""
-        if self.n < 2:
-            return 0.0
-        return max(self._m2 / (self.n - 1), 0.0)
-
-    def sd(self) -> float:
-        return math.sqrt(self.variance())
-
-    def zscore(self, v: float) -> float:
-        """(v - mean)/sd; 0 when the deviation is degenerate (n < 2 or sd ~ 0)."""
-        n = self.n
-        if n < 2 or self._m2 <= 0.0:
-            return 0.0
-        s = math.sqrt(self._m2 / (n - 1))
-        if s < SD_EPSILON:
-            return 0.0
-        return (v - self.sum / n) / s
-
-    def inverse_zscore(self, z: float) -> float:
-        """Map a standardized value back to the original scale.
-
-        Degenerate deviation collapses to the mean; with no data at all the
-        result is 0 (the cold-start prediction)."""
-        n = self.n
-        if n == 0:
-            return 0.0
-        if n < 2 or self._m2 <= 0.0:
-            return self.sum / n
-        s = math.sqrt(self._m2 / (n - 1))
-        if s < SD_EPSILON:
-            return self.sum / n
-        return z * s + self.sum / n
-
     def state(self) -> tuple:
         return (self.n, self.sum, self._m2)
 
-    def __repr__(self):
-        return f"RunningStats(n={self.n}, mean={self.mean:.6g}, var={self.variance():.6g})"
-
 
 def unstandardize(z_values, means, sds) -> list[float]:
-    """Map standardized predictions back with `VectorStats.target_scales`;
-    equal to `RunningStats.inverse_zscore` target by target."""
+    """Map standardized predictions back with `VectorStats.target_scales`:
+    z * sd + mean per target, or the mean where the deviation is
+    degenerate."""
     return [m if s is None else z * s + m for z, m, s in zip(z_values, means, sds)]
 
 
@@ -98,8 +51,7 @@ class VectorStats:
     Nominal feature slots stay None (standardization applies to numeric input
     only); every instance contributes to every target, so target counts agree.
     The z-scores of `learn` and `standardize_features` feed the leaf models
-    and therefore gate and clamp (see MIN_STANDARDIZE_N / Z_CLAMP); raw
-    z-scores are available on the component RunningStats.
+    and therefore gate and clamp (see MIN_STANDARDIZE_N / Z_CLAMP).
     """
 
     __slots__ = ("features", "targets")
@@ -114,11 +66,13 @@ class VectorStats:
         return self.targets[0].n
 
     def learn(self, features, targets, standardize: bool = True):
-        """Fold one instance into the statistics in one pass: the Welford step
-        of `RunningStats.update` for every target and every present numeric
-        feature. With `standardize`, return the leaf-model inputs read from
-        the updated state: `standardize_features(features)` and the targets'
-        z-scores clamped to +/- Z_CLAMP. Otherwise return None."""
+        """Fold one instance into the statistics in one pass: a Welford step
+        (n, sum and m2 += (v - old mean)(v - new mean)) for every target and
+        every present numeric feature. With `standardize`, return the
+        leaf-model inputs read from the updated state:
+        `standardize_features(features)` and the targets' z-scores, 0 where
+        the deviation is degenerate and clamped to +/- Z_CLAMP. Otherwise
+        return None."""
         sqrt = math.sqrt
         x_std = []
         y_std = []
@@ -132,7 +86,7 @@ class VectorStats:
                 n = rs.n
                 if n == 0:
                     rs.n = 1
-                    rs.sum += v  # 0.0 + v, as update does: a first -0.0 sums to 0.0
+                    rs.sum += v  # 0.0 + v: a first -0.0 sums to 0.0
                     out.append(0.0)
                     continue
                 total = rs.sum
@@ -177,10 +131,11 @@ class VectorStats:
         return out
 
     def target_scales(self) -> tuple[list[float], list]:
-        """Per-target (means, standard deviations) for mapping standardized
-        predictions back, by the branches of `RunningStats.inverse_zscore`:
-        the mean is 0.0 before any data, and the deviation is None where it
-        is degenerate, so the inverse is the mean (see `unstandardize`)."""
+        """Per-target (means, sample standard deviations) for mapping
+        standardized predictions back: the mean is 0.0 before any data, and
+        the deviation is None where it is degenerate (fewer than two values,
+        m2 <= 0, or below SD_EPSILON), so the inverse is the mean (see
+        `unstandardize`)."""
         sqrt = math.sqrt
         means = []
         sds = []

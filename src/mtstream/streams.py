@@ -155,16 +155,12 @@ class _SyntheticStream:
         return out
 
 
-def friedman_response(x) -> float:
-    """Base response over the first five inputs: 10*sin(pi*x1*x2)
-    + 20*(x3 - 0.5)^2 + 10*x4 + 5*x5."""
-    return (10.0 * math.sin(math.pi * x[0] * x[1])
-            + 20.0 * (x[2] - 0.5) ** 2 + 10.0 * x[3] + 5.0 * x[4])
-
-
 class FriedmanStream(_SyntheticStream):
     """Ten uniform [0, 1] inputs; five informative, five irrelevant. Optional
-    drift permutes the informative roles per target from a position onward."""
+    drift permutes the informative roles per target from a position onward.
+
+        base = 10*sin(pi*x1*x2) + 20*(x3 - 0.5)^2 + 10*x4 + 5*x5
+    """
 
     N_FEATURES = 10
 
@@ -232,13 +228,6 @@ class PlaneStream(_SyntheticStream):
             yield Instance(features=tuple(row), targets=tuple(targets))
 
 
-def plane_response(x) -> float:
-    """Scalar form of the plane_mt base response (documented formula)."""
-    if x[0] > 0:
-        return 3.0 + 3.0 * x[1] + 2.0 * x[2] + x[3]
-    return -3.0 + 3.0 * x[4] + 2.0 * x[5] + x[6]
-
-
 _MV_CATEGORIES = (
     ("a", "b", "c"),
     ("low", "high"),
@@ -285,16 +274,6 @@ class MVStream(_SyntheticStream):
         for r, (row, targets) in enumerate(zip(x.tolist(), y.tolist())):
             features = tuple(row) + tuple(int(col[r]) for col in cat_cols)
             yield Instance(features=features, targets=tuple(targets))
-
-
-def mv_response(x_numeric, categories) -> float:
-    """Scalar form of the mv_like base response (documented formula)."""
-    base = (5.0 * x_numeric[0] - 3.0 * x_numeric[1]
-            + 4.0 * x_numeric[2] * x_numeric[3]
-            + 2.0 * x_numeric[4] - x_numeric[5])
-    for i, c in enumerate(categories):
-        base += _MV_OFFSETS[i][c]
-    return base
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +349,9 @@ class CsvStream:
 
     Malformed rows (unparsable numerics, unknown category labels, non-finite
     targets) are skipped and counted in `skipped_rows`; a header that does not
-    cover the declared names is fatal. Empty fields, and sentinel values in
-    the declared columns, become missing feature values."""
+    name each declared column exactly once is fatal (other columns may
+    repeat). Empty fields, and sentinel values in the declared columns,
+    become missing feature values."""
 
     def __init__(self, path, decl: CsvSchemaDecl):
         self.path = Path(path)
@@ -390,6 +370,9 @@ class CsvStream:
         missing = [name for name in declared if name not in positions]
         if missing:
             raise SchemaError(f"{self.path}: header lacks declared columns {missing}")
+        repeated = [name for name in declared if header.count(name) > 1]
+        if repeated:
+            raise SchemaError(f"{self.path}: header repeats declared columns {repeated}")
         return positions
 
     def _parse_feature(self, spec: FeatureSpec, raw: str):

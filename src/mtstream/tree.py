@@ -193,9 +193,12 @@ class MultiTargetHoeffdingTree:
 
     def predict(self, instance: Instance) -> Prediction:
         """Pure prediction: d finite values, no state change. Non-finite
-        numeric features count as missing."""
-        self.schema.validate_instance(instance)
-        instance = self.schema.nonfinite_as_missing(instance)
+        numeric features count as missing; a numeric feature or a target that
+        is not a real number is a SchemaError, as in `learn`."""
+        schema = self.schema
+        schema.validate_instance(instance)
+        schema.targets_finite(instance)
+        instance = schema.nonfinite_as_missing(instance)
         leaf = self.route(instance)
         stats = leaf.stats
         x_std = stats.standardize_features(instance.features) if self._standardize else None
@@ -206,7 +209,8 @@ class MultiTargetHoeffdingTree:
         """Fold one example into exactly one leaf; attempt a split whenever
         that leaf's example count reaches a multiple of the grace period.
         Examples with a non-finite target or numeric feature are rejected and
-        counted, never learned."""
+        counted, never learned; one that is not a real number there is a
+        SchemaError."""
         self._learn_impl(instance, want_prediction=False)
 
     def predict_then_learn(self, instance: Instance) -> Prediction:

@@ -25,7 +25,7 @@ from mtstream import (
 )
 from mtstream.leaf_models import LeafPredictorSet
 from mtstream.observers import EBSTObserver, ParentStats, moment_block
-from mtstream.stats import RunningStats
+from mtstream.stats import MIN_STANDARDIZE_N, Z_CLAMP, VectorStats
 from mtstream.tree import MultiTargetHoeffdingTree
 
 
@@ -118,25 +118,37 @@ def test_criterion_02_scan_matches_brute_force():
 # -- 3: incremental statistics equal batch recomputation ----------------------
 
 def test_criterion_03_incremental_equals_batch():
+    """The statistics a leaf learns from (`VectorStats.learn`, one value
+    per step as its numeric feature and its target) and reads
+    (`target_scales`, `standardize_features`) against two-pass batch values.
+    The expected z-score takes the documented model-input gate (0 below
+    MIN_STANDARDIZE_N values) and clamp (+/- Z_CLAMP)."""
+    started = time.perf_counter()
     rng = np.random.default_rng(3)
     checked = 0
     for _ in range(10_000):
         length = int(rng.integers(2, 1001))
         data = rng.uniform(10.0, 100.0, size=length)
-        rs = RunningStats()
+        vs = VectorStats(1, [0], 1)
+        learn = vs.learn
         for v in data.tolist():
-            rs.update(v)
+            learn((v,), (v,), standardize=False)
+        (mean_inc,), (sd_inc,) = vs.target_scales()
+        var_inc = 0.0 if sd_inc is None else sd_inc * sd_inc
         mean = float(np.mean(data))
         var = float(np.var(data, ddof=1))
         sd = math.sqrt(var) if var > 0 else 0.0
-        assert abs(rs.mean - mean) <= 1e-9 * abs(mean)
-        assert abs(rs.variance() - var) <= 1e-9 * max(abs(var), 1e-12)
+        assert abs(mean_inc - mean) <= 1e-9 * abs(mean)
+        assert abs(var_inc - var) <= 1e-9 * max(abs(var), 1e-12)
         probe = float(data.max()) + 1.0
-        expected_z = (probe - mean) / sd if sd >= 1e-12 else 0.0
-        assert abs(rs.zscore(probe) - expected_z) <= 1e-9 * max(abs(expected_z), 1e-12)
+        expected_z = (probe - mean) / sd if sd >= 1e-12 and length >= MIN_STANDARDIZE_N else 0.0
+        expected_z = max(-Z_CLAMP, min(Z_CLAMP, expected_z))
+        (z,) = vs.standardize_features((probe,))
+        assert abs(z - expected_z) <= 1e-9 * max(abs(expected_z), 1e-12)
         checked += 1
-    report(3, f"{checked} random sequences: mean/variance/z-score match "
-              "two-pass batch values within 1e-9 relative")
+    elapsed = time.perf_counter() - started
+    report(3, f"{checked} random sequences: VectorStats mean/variance/z-score match "
+              f"two-pass batch values within 1e-9 relative ({elapsed:.2f}s)")
 
 
 # -- 4: structural determinism and variant independence -----------------------

@@ -35,7 +35,7 @@ def run_config(tmp_path, n=500, variants=("mean",), seeds=(0,), name="toy",
 _SEED_RANGE = "must be >= 0 and <= 9223372036854775807"  # every seed's range
 
 # a declaration for the CSV cases of the malformed-config test; its
-# short.csv lacks the x2 column
+# short.csv lacks the x2 column, and its twice.csv names x1 twice
 _CSV_SCHEMA = {"features": [{"name": "x1"}, {"name": "x2"}], "targets": ["y"]}
 
 
@@ -186,6 +186,9 @@ class TestRun:
                      id="csv_schema_file_missing"),
         pytest.param(_csv_entry("short.csv"), "header lacks declared columns ['x2']",
                      id="csv_header_lacks_column"),
+        pytest.param(_csv_entry("twice.csv", schema={"features": [{"name": "x1"}],
+                                                     "targets": ["y"]}),
+                     "header repeats declared columns ['x1']", id="csv_header_repeats_column"),
         pytest.param(_csv_entry("short.csv", schema={**_CSV_SCHEMA, "sentinel_columns": 5}),
                      "bad schema declaration", id="csv_sentinel_columns_not_list"),
         pytest.param(_csv_entry("short.csv", schema={"features": [{"name": "x1"}],
@@ -200,6 +203,11 @@ class TestRun:
             "targets": ["y"]}),
                      "categories of 'x1' must be a list of strings, got 'ab'",
                      id="csv_categories_string"),
+        pytest.param(_csv_entry("short.csv", schema={
+            "features": [{"name": "x1", "kind": "nominal", "categories": ["a", "a", "b"]}],
+            "targets": ["y"]}),
+                     "bad schema declaration: nominal feature 'x1' repeats categories ['a']",
+                     id="csv_categories_repeated"),
         pytest.param(_csv_entry("short.csv", schema={
             "features": [{"name": "x1"}], "targets": ["y"],
             "sentinel_value": "abc", "sentinel_columns": ["x1"]}),
@@ -305,6 +313,7 @@ class TestRun:
                                                        mutate, message):
         monkeypatch.chdir(tmp_path)  # the CSV cases name files relative to it
         (tmp_path / "short.csv").write_text("x1,y\n0.5,1.0\n")
+        (tmp_path / "twice.csv").write_text("x1,y,x1\n0.5,1.0,0.7\n")
         cfg = run_config(tmp_path)
         doc = mutate(json.loads(cfg.read_text()))
         cfg.write_text(json.dumps(doc))

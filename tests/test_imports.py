@@ -1,5 +1,5 @@
-"""Import hygiene: every public name resolves, and nothing in the package
-loads scipy.
+"""Import hygiene: every public name resolves, nothing in the package loads
+scipy, and `src/` defines nothing that only the tests use.
 
 `import scipy.special` costs about 0.33 s and 26 MB, and `scipy.stats` about
 1.0 s, which every prequential process, every `mtstream run` pool worker and
@@ -10,11 +10,16 @@ since this test process may already have loaded scipy through other tests.
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_fresh(code: str) -> str:
@@ -111,3 +116,48 @@ def test_run_and_compare_do_not_load_scipy(tmp_path):
     with open(out / "comparison.csv", encoding="utf-8") as fh:
         f_stat = fh.read().splitlines()[1].split(",")[4]
     assert float(f_stat) < float("inf")
+
+
+def _identifiers(tree: ast.AST) -> Counter:
+    """How often each name occurs in `tree` as a `Name`, as an `Attribute`
+    or as a whole string constant (a name in `__all__` or a trace point)."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found[node.value] += 1
+    return found
+
+
+def test_src_defines_nothing_only_tests_use():
+    """Each function, method and class under `src/mtstream` is used by other
+    `src/` code outside its own body, is exported in `mtstream.__all__`, or is
+    named in `perfbench/*.py`, which hooks the package by name. Dunder
+    methods are exempt: Python calls them.
+
+    This is a floor, not a proof: uses are matched by name alone, so a
+    definition that shares its name with another attribute (say `update`,
+    which dicts and hashes also have) passes even when nothing calls it."""
+    import mtstream
+
+    modules = {path: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted((ROOT / "src" / "mtstream").glob("*.py"))}
+    src_uses = sum((_identifiers(tree) for tree in modules.values()), Counter())
+    outside = set(mtstream.__all__)
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        outside |= set(_identifiers(ast.parse(path.read_text(encoding="utf-8"))))
+
+    unused = []
+    for path, tree in modules.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or name in outside:
+                continue
+            if src_uses[name] - _identifiers(node)[name] <= 0:
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, f"defined in src/ but used only outside it: {unused}"

@@ -15,9 +15,8 @@ def make_stats(d, means, sds):
     mean +/- sd/sqrt(2) have exactly that mean and (n-1)-variance sd^2."""
     vs = VectorStats(1, [0], d)
     half = [s / np.sqrt(2.0) for s in sds]
-    for t in range(d):
-        vs.targets[t].update(means[t] - half[t])
-        vs.targets[t].update(means[t] + half[t])
+    vs.learn((None,), [m - h for m, h in zip(means, half)], standardize=False)
+    vs.learn((None,), [m + h for m, h in zip(means, half)], standardize=False)
     return vs
 
 

@@ -41,6 +41,18 @@ def brute_force_merits(pairs):
     return out
 
 
+def candidate_merits(obs, parent):
+    """All (threshold, merit, left, right) tuples of `obs` in increasing key
+    order for a parent moment column, left and right as moment columns:
+    `EBSTObserver._scan` listed, for the oracle checks."""
+    scan = obs._scan(ParentStats(parent))
+    if scan is None:
+        return []
+    merits, valid, left, right = scan
+    return [(float(obs.keys[i]), float(merits[i]), left[:, i].tolist(), right[:, i].tolist())
+            for i in np.flatnonzero(valid).tolist()]
+
+
 def build_observer(pairs, d):
     obs = EBSTObserver(d)
     for v, y in pairs:
@@ -87,7 +99,7 @@ class TestInsert:
         pairs = [(float(v), (float(rng.normal()),)) for v in values]
         obs = build_observer(pairs, 1)
         parent = moments([y for _, y in pairs])
-        by_threshold = {key: left[0] for key, _, left, _ in obs.candidate_merits(parent)}
+        by_threshold = {key: left[0] for key, _, left, _ in candidate_merits(obs, parent)}
         for threshold, left_count in by_threshold.items():
             expected = sum(1 for v, _ in pairs if v <= threshold)
             assert left_count == expected
@@ -97,7 +109,7 @@ class TestInsert:
         pairs = [(float(i), (float(i),)) for i in range(5000)]
         obs = build_observer(pairs, 1)
         parent = moments([y for _, y in pairs])
-        assert len(obs.candidate_merits(parent)) == 4999
+        assert len(candidate_merits(obs, parent)) == 4999
 
 
 class TestScanSplits:
@@ -114,7 +126,7 @@ class TestScanSplits:
         pairs = [(float(i), (3.0, 3.0)) for i in range(20)]
         obs = build_observer(pairs, 2)
         parent = moments([y for _, y in pairs])
-        for _, merit, _, _ in obs.candidate_merits(parent):
+        for _, merit, _, _ in candidate_merits(obs, parent):
             assert merit == pytest.approx(0.0, abs=1e-12)
 
     def test_single_distinct_key_yields_no_suggestion(self):
@@ -130,7 +142,7 @@ class TestScanSplits:
         ]
         obs = build_observer(pairs, 3)
         parent = moments([y for _, y in pairs])
-        scanned = {key: merit for key, merit, _, _ in obs.candidate_merits(parent)}
+        scanned = {key: merit for key, merit, _, _ in candidate_merits(obs, parent)}
         expected = brute_force_merits(pairs)
         assert scanned.keys() == expected.keys()
         for threshold, merit in expected.items():
@@ -145,13 +157,13 @@ class TestScanSplits:
         parent = moments([y for _, y in pairs])
         reference = {
             key: merit
-            for key, merit, _, _ in build_observer(pairs, 2).candidate_merits(parent)
+            for key, merit, _, _ in candidate_merits(build_observer(pairs, 2), parent)
         }
         for _ in range(5):
             perm = [pairs[i] for i in rng.permutation(len(pairs))]
             shuffled = {
                 key: merit
-                for key, merit, _, _ in build_observer(perm, 2).candidate_merits(parent)
+                for key, merit, _, _ in candidate_merits(build_observer(perm, 2), parent)
             }
             assert shuffled.keys() == reference.keys()
             for key in reference:
@@ -194,7 +206,7 @@ class TestHashIndexProperties:
         assert obs.distinct_keys == len({v for v, _ in pairs})
 
         parent = moments([y for _, y in pairs])
-        scanned = {key: merit for key, merit, _, _ in shuffled.candidate_merits(parent)}
+        scanned = {key: merit for key, merit, _, _ in candidate_merits(shuffled, parent)}
         expected = brute_force_merits(pairs)
         assert scanned.keys() == expected.keys()
         for threshold, merit in expected.items():

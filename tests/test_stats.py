@@ -5,12 +5,73 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtstream.stats import (MIN_STANDARDIZE_N, Z_CLAMP, RunningStats, VectorStats,
+from mtstream.stats import (MIN_STANDARDIZE_N, SD_EPSILON, Z_CLAMP, RunningStats, VectorStats,
                             unstandardize)
 
 
+class Welford:
+    """Reference statistics of one variable, one value at a time: the
+    Welford update, the sample variance, and the exact (ungated, unclamped)
+    z-score and its inverse. `VectorStats` must match it bit for bit."""
+
+    def __init__(self):
+        self.n = 0
+        self.sum = 0.0
+        self.m2 = 0.0
+
+    def update(self, v: float) -> None:
+        if self.n == 0:
+            self.n = 1
+            self.sum += v
+            return
+        mean_old = self.sum / self.n
+        self.n += 1
+        self.sum += v
+        # m2 accumulates sum((v - mean)^2) via (v - old mean)(v - new mean)
+        self.m2 += (v - mean_old) * (v - self.sum / self.n)
+
+    @property
+    def mean(self) -> float:
+        return self.sum / self.n if self.n else 0.0
+
+    def variance(self) -> float:
+        """Sample variance (n-1 denominator); 0 for n < 2; never negative."""
+        if self.n < 2:
+            return 0.0
+        return max(self.m2 / (self.n - 1), 0.0)
+
+    def sd(self) -> float:
+        return math.sqrt(self.variance())
+
+    def zscore(self, v: float) -> float:
+        """(v - mean)/sd; 0 when the deviation is degenerate (n < 2 or sd ~ 0)."""
+        n = self.n
+        if n < 2 or self.m2 <= 0.0:
+            return 0.0
+        s = math.sqrt(self.m2 / (n - 1))
+        if s < SD_EPSILON:
+            return 0.0
+        return (v - self.sum / n) / s
+
+    def inverse_zscore(self, z: float) -> float:
+        """The value whose z-score is `z`: the mean where the deviation is
+        degenerate, and 0 with no data at all."""
+        n = self.n
+        if n == 0:
+            return 0.0
+        if n < 2 or self.m2 <= 0.0:
+            return self.sum / n
+        s = math.sqrt(self.m2 / (n - 1))
+        if s < SD_EPSILON:
+            return self.sum / n
+        return z * s + self.sum / n
+
+    def state(self) -> tuple:
+        return (self.n, self.sum, self.m2)
+
+
 def filled(values):
-    rs = RunningStats()
+    rs = Welford()
     for v in values:
         rs.update(v)
     return rs
@@ -27,7 +88,7 @@ class TestUpdate:
 
     def test_large_normal_sample_mean(self):
         rng = np.random.default_rng(42)
-        rs = RunningStats()
+        rs = Welford()
         for v in rng.standard_normal(1_000_000).tolist():
             rs.update(v)
         assert abs(rs.mean) < 0.01
@@ -39,7 +100,7 @@ class TestVariance:
 
     def test_degenerate_single(self):
         assert filled([5.0]).variance() == 0.0
-        assert RunningStats().variance() == 0.0
+        assert Welford().variance() == 0.0
 
     def test_four_values(self):
         assert filled([0.0, 0.0, 2.0, 2.0]).variance() == pytest.approx(4.0 / 3.0)
@@ -79,7 +140,7 @@ class TestInverseZScore:
         assert rs.inverse_zscore(0.70711) == pytest.approx(2.0, abs=1e-4)
 
     def test_degenerate_cases(self):
-        assert RunningStats().inverse_zscore(1.5) == 0.0
+        assert Welford().inverse_zscore(1.5) == 0.0
         assert filled([4.0]).inverse_zscore(1.5) == 4.0
         assert filled([4.0, 4.0, 4.0]).inverse_zscore(1.5) == 4.0
 
@@ -189,31 +250,39 @@ def _rows(draw):
     return rows
 
 
+def reference_state(features, targets):
+    """`VectorStats.state()` spelled from Welford oracles (None for a
+    nominal slot)."""
+    return (tuple(None if w is None else w.state() for w in features),
+            tuple(w.state() for w in targets))
+
+
 class TestFusedLearn:
-    """`VectorStats.learn` is `RunningStats.update` per variable followed by
+    """`VectorStats.learn` is the `Welford` update per variable followed by
     the gated, clamped z-scores of the updated state, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(rows=_rows())
     def test_learn_equals_update_then_zscore(self, rows):
         fused = VectorStats(3, [0, 2], 2)
-        reference = VectorStats(3, [0, 2], 2)
+        features_ref = [Welford(), None, Welford()]
+        targets_ref = [Welford(), Welford()]
         for features, targets in rows:
             x_std, y_std = fused.learn(features, targets)
             expect_x = []
-            for rs, v in zip(reference.features, features):
+            for rs, v in zip(features_ref, features):
                 if rs is None or v is None:
                     expect_x.append(0.0)
                     continue
                 rs.update(v)
                 expect_x.append(_clamped(rs.zscore(v)) if rs.n >= MIN_STANDARDIZE_N else 0.0)
             expect_y = []
-            for rs, v in zip(reference.targets, targets):
+            for rs, v in zip(targets_ref, targets):
                 rs.update(v)
                 expect_y.append(_clamped(rs.zscore(v)))
             assert repr((x_std, y_std)) == repr((expect_x, expect_y))
             assert repr(x_std) == repr(fused.standardize_features(features))
-            assert repr(fused.state()) == repr(reference.state())
+            assert repr(fused.state()) == repr(reference_state(features_ref, targets_ref))
 
     @settings(max_examples=50, deadline=None)
     @given(rows=_rows())
@@ -228,14 +297,13 @@ class TestFusedLearn:
     def test_first_negative_zero_sums_like_update(self):
         vs = VectorStats(1, [0], 1)
         vs.learn((-0.0,), (-0.0,))
-        rs = RunningStats()
-        rs.update(-0.0)
+        rs = filled([-0.0])
         assert repr(vs.features[0].state()) == repr(vs.targets[0].state()) == repr(rs.state())
 
 
 class TestTargetScales:
     """`unstandardize` over `VectorStats.target_scales` is
-    `RunningStats.inverse_zscore` on every branch: no data, one value, zero
+    `Welford.inverse_zscore` on every branch: no data, one value, zero
     spread, spread below SD_EPSILON, and the regular case."""
 
     @settings(max_examples=150, deadline=None)
@@ -244,27 +312,26 @@ class TestTargetScales:
                         st.floats(allow_nan=False, allow_infinity=False)))
     def test_scales_invert_like_inverse_zscore(self, values, base, zs):
         vs = VectorStats(0, [], 2)
+        reference = [Welford(), Welford()]
         for a, b in values:
-            vs.targets[0].update(base + a)
-            vs.targets[1].update(base + a + b * 1e-20)  # spreads below SD_EPSILON
+            row = (base + a, base + a + b * 1e-20)  # spreads below SD_EPSILON
+            vs.learn((), row, standardize=False)
+            for rs, v in zip(reference, row):
+                rs.update(v)
+        assert repr(vs.state()) == repr(reference_state([], reference))
         means, sds = vs.target_scales()
-        expect = [rs.inverse_zscore(z) for rs, z in zip(vs.targets, zs)]
+        expect = [rs.inverse_zscore(z) for rs, z in zip(reference, zs)]
         assert repr(unstandardize(zs, means, sds)) == repr(expect)
-        assert repr(means) == repr([rs.mean for rs in vs.targets])
+        assert repr(means) == repr([rs.mean for rs in reference])
 
     def test_every_branch_is_reached(self):
-        empty, single, flat, tiny, spread = (RunningStats() for _ in range(5))
-        single.update(4.0)
-        for v in (2.0, 2.0, 2.0):
-            flat.update(v)
-        for v in (1.0, 1.0 + 2e-16):
-            tiny.update(v)
-        for v in (1.0, 3.0):
-            spread.update(v)
+        reference = [filled(values) for values in
+                     ((), (4.0,), (2.0, 2.0, 2.0), (1.0, 1.0 + 2e-16), (1.0, 3.0))]
+        tiny, spread = reference[3:]
         vs = VectorStats(0, [], 5)
-        vs.targets = [empty, single, flat, tiny, spread]
+        vs.targets = [RunningStats(*rs.state()) for rs in reference]
         means, sds = vs.target_scales()
         assert sds[:4] == [None] * 4 and sds[4] == spread.sd()
-        assert tiny._m2 > 0.0  # the SD_EPSILON branch, not the m2 <= 0 one
+        assert tiny.m2 > 0.0  # the SD_EPSILON branch, not the m2 <= 0 one
         zs = [1.5] * 5
-        assert unstandardize(zs, means, sds) == [rs.inverse_zscore(1.5) for rs in vs.targets]
+        assert unstandardize(zs, means, sds) == [rs.inverse_zscore(1.5) for rs in reference]

@@ -14,13 +14,37 @@ from mtstream.streams import (
     DriftSpec,
     GeneratorSpec,
     StoredStream,
-    friedman_response,
+    _MV_OFFSETS,
     make_stream,
-    mv_response,
-    plane_response,
     read_csv,
     write_csv,
 )
+
+
+# scalar forms of the generators' documented base responses, the oracles
+# their vectorized blocks are checked against
+
+def friedman_response(x) -> float:
+    """10*sin(pi*x1*x2) + 20*(x3 - 0.5)^2 + 10*x4 + 5*x5."""
+    return (10.0 * math.sin(math.pi * x[0] * x[1])
+            + 20.0 * (x[2] - 0.5) ** 2 + 10.0 * x[3] + 5.0 * x[4])
+
+
+def plane_response(x) -> float:
+    """3 + 3*x2 + 2*x3 + x4 where x1 > 0, else -3 + 3*x5 + 2*x6 + x7."""
+    if x[0] > 0:
+        return 3.0 + 3.0 * x[1] + 2.0 * x[2] + x[3]
+    return -3.0 + 3.0 * x[4] + 2.0 * x[5] + x[6]
+
+
+def mv_response(x_numeric, categories) -> float:
+    """5*x1 - 3*x2 + 4*x3*x4 + 2*x5 - x6 plus each category's offset."""
+    base = (5.0 * x_numeric[0] - 3.0 * x_numeric[1]
+            + 4.0 * x_numeric[2] * x_numeric[3]
+            + 2.0 * x_numeric[4] - x_numeric[5])
+    for i, c in enumerate(categories):
+        base += _MV_OFFSETS[i][c]
+    return base
 
 
 def collect(source, limit=None):
@@ -239,6 +263,19 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaError):
             read_csv(path, {"features": [{"name": "x1"}], "targets": ["y"]})
 
+    def test_repeated_declared_column_is_fatal(self, tmp_path):
+        # the row dict would keep the last x1 and silently drop the first
+        path = tmp_path / "twice.csv"
+        path.write_text("x1,y1,x1\n1.0,2.0,3.0\n")
+        with pytest.raises(SchemaError, match=r"header repeats declared columns \['x1'\]"):
+            read_csv(path, {"features": [{"name": "x1"}], "targets": ["y1"]})
+
+    def test_repeated_undeclared_column_is_harmless(self, tmp_path):
+        path = tmp_path / "notes.csv"
+        path.write_text("note,x1,note,y1\na,1.0,b,2.0\n")
+        rows = collect(read_csv(path, {"features": [{"name": "x1"}], "targets": ["y1"]}))
+        assert [(r.features, r.targets) for r in rows] == [((1.0,), (2.0,))]
+
     def test_sentinel_maps_to_missing_only_where_opted_in(self, tmp_path):
         path = tmp_path / "sent.csv"
         path.write_text("x1,x2,y\n-1,-1,3.0\n")
@@ -307,10 +344,15 @@ class TestSchemaDeclValidation:
         ({"features": [{"name": "x1"}], "targets": ["y"], "sentinel_value": -1,
           "sentinel_columns": ["x9"]},
          "sentinel_columns name unknown features: ['x9']"),
+        # a CSV label reads as its first index, so a repeat's column and
+        # child could never see an example
+        ({"features": [{"name": "c", "kind": "nominal", "categories": ["a", "a", "b"]}],
+          "targets": ["y"]},
+         "nominal feature 'c' repeats categories ['a']"),
     ], ids=["targets_string", "targets_repeated_string", "targets_non_string",
             "categories_string", "sentinel_columns_string", "sentinel_value_string",
             "sentinel_value_nan", "sentinel_value_bool", "sentinel_value_beyond_float",
-            "sentinel_columns_unknown"])
+            "sentinel_columns_unknown", "categories_repeated"])
     def test_malformed_declaration_is_rejected(self, decl, message):
         with pytest.raises(SchemaError, match="bad schema declaration") as err:
             CsvSchemaDecl.from_dict(decl)

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -189,6 +190,21 @@ class TestLearnContract:
         with pytest.raises(SchemaError):
             tree.predict(Instance(features=(0.1, 0.2, 0.3), targets=(1.0,)))
 
+    @pytest.mark.parametrize("entry", ["learn", "predict", "predict_then_learn"])
+    @pytest.mark.parametrize("features, targets, slot", [
+        ((0.1, "a"), (1.0,), "numeric feature 'x2' is not a real number: 'a'"),
+        ((0.1, 0.2), (None,), "target 'y1' is not a real number: None"),
+        ((0.1, 0.2), ("1.0",), "target 'y1' is not a real number: '1.0'"),
+    ], ids=["string_feature", "none_target", "string_target"])
+    def test_a_slot_that_is_not_a_number_is_a_schema_error(self, entry, features, targets,
+                                                            slot):
+        tree = MultiTargetHoeffdingTree(numeric_schema(2, 1), TreeConfig())
+        before = tree.serialize()
+        with pytest.raises(SchemaError, match=f"^{re.escape(slot)}$"):
+            getattr(tree, entry)(Instance(features=features, targets=targets))
+        assert (tree.rejected_count, tree.examples_learned) == (0, 0)
+        assert tree.serialize() == before
+
     def test_fused_step_matches_predict_then_learn(self):
         instances = linear_instances(800, seed=12, noise=0.3)
         schema = numeric_schema(3, 2)
@@ -361,8 +377,8 @@ class TestSplitting:
         assert tree.split_count == 1
         left, right = tree.root.children
         # sides were constant 0 and 10; seeded means reflect that immediately
-        assert left.stats.targets[0].mean == pytest.approx(0.0, abs=1e-9)
-        assert right.stats.targets[0].mean == pytest.approx(10.0, abs=1e-9)
+        assert left.stats.target_scales()[0] == [pytest.approx(0.0, abs=1e-9)]
+        assert right.stats.target_scales()[0] == [pytest.approx(10.0, abs=1e-9)]
         assert left.stats.targets[0].n > 0
 
     def test_nominal_split_covers_every_declared_category(self):
