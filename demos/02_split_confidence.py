@@ -38,11 +38,11 @@ y = np.where(x[:, [0]] > 0.5, 10.0, 0.0) + rng.normal(0, 0.5, size=(n, 2))
 # the leaf's moment column [n, sums, sums of squares], shared by every
 # feature's scan
 parent = ParentStats([float(n), *y.sum(axis=0), *(y ** 2).sum(axis=0)])
-# each observer folds its feature's column as one block of (1, y, y^2) rows
+# each observer inserts its feature's column as one block of (1, y, y^2) rows
 block = moment_block(y)
 observers = [EBSTObserver(2), EBSTObserver(2)]
-observers[0].fold(x[:, 0], block)
-observers[1].fold(x[:, 1], block)
+observers[0].insert(x[:, 0], block)
+observers[1].insert(x[:, 1], block)
 
 best0 = observers[0].best_splits(0, parent)
 best1 = observers[1].best_splits(1, parent)

@@ -96,16 +96,22 @@ def _from_json(value, declared: Setting):
     return value
 
 
+def _check_keys(doc: dict, known, error: type = ValueError, where: str = "") -> None:
+    """Raise `error` with the prefix `where`, naming a key of `doc` not in `known`."""
+    for key in doc:
+        if key not in known:
+            raise error(f"{where}unknown key {key!r}")
+
+
 def _settings(cls, doc: dict, fixed=()) -> dict:
     """The settings that `doc` gives for the config dataclass `cls`, each
     read by its field's declaration; the dataclass supplies every default.
     A key that names no field of `cls`, or one in `fixed`, is a ValueError
     naming it."""
     declared = {f.name: f.metadata[SETTING] for f in fields(cls) if f.name not in fixed}
+    _check_keys(doc, declared)
     settings = {}
     for key, value in doc.items():
-        if key not in declared:
-            raise ValueError(f"unknown key {key!r}")
         try:
             settings[key] = _from_json(value, declared[key])
         except (TypeError, ValueError) as exc:  # from a nested config
@@ -188,7 +194,8 @@ def _dataset_entries(doc: dict) -> list[dict]:
         raise UsageError("run config needs a non-empty 'datasets' list")
     names = set()
     for i, entry in enumerate(datasets):
-        _expect(entry, dict, f"datasets[{i}]")
+        _check_keys(_expect(entry, dict, f"datasets[{i}]"),
+                    ("name", "generator", "csv", "schema"), UsageError, f"datasets[{i}]: ")
         if "name" not in entry:
             raise UsageError(f"datasets[{i}] needs a 'name'")
         # the name heads the cell's report file name inside the output directory
@@ -261,6 +268,8 @@ def report_filename(dataset: str, variant: str, seed: int) -> str:
 
 def cmd_run(args) -> int:
     doc = _load_json(args.config)
+    _check_keys(doc, ("datasets", "variants", "tree", "evaluation", "output_dir"), UsageError,
+                "run config: ")
     out_dir = _resolve_out_dir(args.out, doc.get("output_dir"))
     datasets = _dataset_entries(doc)
     variants = parse_variants(doc.get("variants"))
@@ -472,6 +481,8 @@ def cmd_compare(args) -> int:
 def cmd_generate(args) -> int:
     doc = _load_json(args.config)
     name = _file_name(doc.get("name", doc.get("family", "stream")), "name")
+    if "generator" in doc:
+        _check_keys(doc, ("name", "output_dir", "generator"), UsageError, "generate config: ")
     # the flat form keeps the generator keys beside the file's own
     flat = {k: v for k, v in doc.items() if k not in ("name", "output_dir")}
     spec = parse_generator_spec(doc.get("generator", flat), seed_override=args.seed)
@@ -489,10 +500,13 @@ def cmd_generate(args) -> int:
 
 
 def _resolve_out_dir(flag_value, config_value) -> Path:
+    """A config value other than None is a non-empty string, even under a flag."""
+    if config_value is not None and not _expect(config_value, str, "output_dir"):
+        raise UsageError("output_dir must not be empty")
     if flag_value:
         return Path(flag_value)
-    if config_value:
-        return Path(_expect(config_value, str, "output_dir"))
+    if config_value is not None:
+        return Path(config_value)
     env = os.environ.get(ENV_OUT_DIR)
     if env:
         return Path(env)

@@ -9,6 +9,7 @@ inter-target structure can sharpen each target's estimate.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -64,14 +65,10 @@ class LeafPredictorSet:
     def spawn_child(self) -> "LeafPredictorSet":
         """Child predictor set for a fresh leaf after a split: weights are
         inherited from this (parent) leaf, faded errors start over."""
-        child = LeafPredictorSet.__new__(LeafPredictorSet)
-        child.variant = self.variant
-        child.n_targets = self.n_targets
-        child.learning_rate = self.learning_rate
+        child = copy.copy(self)
         child.base = self.base.copy() if self.base is not None else None
         child.meta = self.meta.copy() if self.meta is not None else None
         child._reset_errors()
-        child.train_inputs = self.train_inputs
         return child
 
     def _reset_errors(self) -> None:

@@ -2,16 +2,17 @@
 
 Numeric features are tracked per distinct observed value: one column per
 value, accumulating the count, per-target sum, and per-target sum of squares
-of the examples carrying that exact value. Examples arrive in blocks: `fold`
-merges the sorted keys with a block's values in one stable sort, moves the old
-columns to their new places, and adds every example's (1, y, y^2) row to its
-key's column with one `np.add.at`, in arrival order; new keys, repeated keys
-and one-example inserts take the same path. The keys stay sorted, so
-scanning candidates is one prefix sum over the columns, which reconstructs,
-for every observed value as a `v <= key` threshold, the exact left/right
-partition statistics in a handful of vectorized passes.
+of the examples carrying that exact value. Examples arrive only in blocks:
+`insert`, each observer's one insertion method, merges the sorted keys with a
+block's values in one stable sort, moves the old columns to their new places,
+and adds every example's (1, y, y^2) row to its key's column with one
+`np.add.at`, in arrival order; new keys and repeated keys take the same
+path. The keys stay sorted, so scanning candidates is one prefix sum over the
+columns, which reconstructs, for every observed value as a `v <= key`
+threshold, the exact left/right partition statistics in a handful of
+vectorized passes.
 
-Nominal features keep one aggregate column per declared category, folded the
+Nominal features keep one aggregate column per declared category, inserted the
 same way, and propose a single multiway split over the declared category set.
 
 Split merit is the reduction in intra-cluster variance: the mean (across
@@ -72,11 +73,7 @@ class EBSTObserver:
         # (1 + 2d, n): count, sums, sums of squares; column j is keys[j]
         self.rows = np.empty((1 + 2 * n_targets, 0))
 
-    def insert(self, v: float, y) -> None:
-        """Fold one (value, target-vector) pair into the observer."""
-        self.fold(np.array([v], dtype=float), moment_block([y]))
-
-    def fold(self, values: np.ndarray, block: np.ndarray) -> None:
+    def insert(self, values: np.ndarray, block: np.ndarray) -> None:
         """Add the rows of `block` to the columns of `values`, one example per
         row in arrival order.
 
@@ -207,10 +204,7 @@ class NominalObserver:
         # category c, as in EBSTObserver.rows
         self.rows = np.zeros((1 + 2 * n_targets, n_categories))
 
-    def insert(self, category: int, y) -> None:
-        self.fold(np.array([category]), moment_block([y]))
-
-    def fold(self, categories: np.ndarray, block: np.ndarray) -> None:
+    def insert(self, categories: np.ndarray, block: np.ndarray) -> None:
         """Add the rows of `block` to their categories in arrival order."""
         with np.errstate(over="ignore"):  # inf makes no candidate
             np.add.at(self.rows.T, categories.astype(np.intp), block)

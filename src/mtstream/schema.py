@@ -122,7 +122,8 @@ class StreamSchema:
         names = [f.name for f in self.features] + list(self.targets)
         if len(set(names)) != len(names):
             raise SchemaError("feature and target names must be unique")
-        object.__setattr__(self, "_nominal_cache", self._nominal_slots())
+        object.__setattr__(self, "_nominal_cache", tuple(
+            (i, len(f.categories)) for i, f in enumerate(self.features) if f.kind == NOMINAL))
         object.__setattr__(self, "_numeric_cache", tuple(self.numeric_indices()))
 
     @property
@@ -136,13 +137,12 @@ class StreamSchema:
     def numeric_indices(self) -> list[int]:
         return [i for i, f in enumerate(self.features) if f.kind == NUMERIC]
 
-    def _nominal_slots(self) -> tuple:
-        return tuple((i, len(f.categories)) for i, f in enumerate(self.features)
-                     if f.kind == NOMINAL)
-
-    def validate_instance(self, inst: "Instance") -> None:
-        """Raise SchemaError unless `inst` conforms: lengths match and nominal
-        indices fall inside the declared category sets."""
+    def validate_instance(self, inst: "Instance") -> bool:
+        """Whether `inst` can be learned, the one admission check of every
+        learner entry point: False when a target or numeric feature is NaN or
+        infinite. SchemaError unless lengths match, nominal indices fall in
+        their category sets, and every target and numeric feature is a real
+        number."""
         features = inst.features
         if len(features) != len(self.features):
             raise SchemaError(
@@ -154,19 +154,20 @@ class StreamSchema:
             )
         for i, n_cats in self._nominal_cache:
             v = features[i]
-            if v is None:
-                continue
-            if not isinstance(v, int) or not 0 <= v < n_cats:
+            if v is not None and not (isinstance(v, int) and 0 <= v < n_cats):
                 raise SchemaError(
                     f"nominal feature {self.features[i].name!r}: index {v!r} "
                     "outside its category set"
                 )
+        # both run in full, so a slot that is not a number raises wherever it is
+        targets_finite = self.targets_finite(inst)
+        return self.features_finite(inst) and targets_finite
 
     def targets_finite(self, inst: "Instance") -> bool:
-        """False at the first target that is NaN or an infinity; SchemaError
-        naming it if that target is not a real number."""
+        """Whether every target is finite; SchemaError naming the first
+        target that is not a real number."""
         try:
-            return all(map(math.isfinite, inst.targets))
+            return all(list(map(math.isfinite, inst.targets)))
         except TypeError:
             for name, v in zip(self.targets, inst.targets):
                 try:
@@ -176,25 +177,24 @@ class StreamSchema:
             raise
 
     def features_finite(self, inst: "Instance") -> bool:
-        """False at the first numeric feature that holds NaN or an infinity;
-        SchemaError naming it if that value is not a real number."""
+        """Whether every present numeric feature is finite; SchemaError
+        naming the first one that is not a real number."""
         features = inst.features
         isfinite = math.isfinite
+        finite = True
         try:
             for i in self._numeric_cache:
                 v = features[i]
                 if v is not None and not isfinite(v):
-                    return False
+                    finite = False
         except TypeError:
             raise SchemaError(f"numeric feature {self.features[i].name!r} is not a real "
                               f"number: {v!r}") from None
-        return True
+        return finite
 
     def nonfinite_as_missing(self, inst: "Instance") -> "Instance":
-        """`inst` itself, or a copy with every non-finite numeric feature
-        replaced by None."""
-        if self.features_finite(inst):
-            return inst
+        """A copy of `inst` with every non-finite numeric feature replaced by
+        None."""
         features = list(inst.features)
         for i in self._numeric_cache:
             v = features[i]

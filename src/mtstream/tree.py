@@ -60,15 +60,12 @@ class TreeConfig:
 
 class SplitNode:
     __slots__ = ("feature", "threshold", "children")
+    is_leaf = False
 
     def __init__(self, feature: int, threshold: float | None, children: list):
         self.feature = feature
         self.threshold = threshold  # None marks a nominal multiway node
         self.children = children
-
-    @property
-    def is_leaf(self) -> bool:
-        return False
 
 
 class LeafNode:
@@ -79,6 +76,7 @@ class LeafNode:
 
     __slots__ = ("stats", "observers", "predictors", "ratio",
                  "examples_seen", "pending_x", "pending_y")
+    is_leaf = True
 
     def __init__(self, stats: VectorStats, observers: list,
                  predictors: LeafPredictorSet):
@@ -89,10 +87,6 @@ class LeafNode:
         self.examples_seen = 0
         self.pending_x = array("d")  # learned, not yet in the observers
         self.pending_y = array("d")
-
-    @property
-    def is_leaf(self) -> bool:
-        return True
 
     def add_pending(self, features: tuple, targets: tuple) -> None:
         """Append one learned example to the pending block."""
@@ -110,9 +104,9 @@ class LeafNode:
         present = values == values
         for obs, column, mask in zip(self.observers, values.T, present.T):
             if mask.all():
-                obs.fold(column, block)
+                obs.insert(column, block)
             elif mask.any():
-                obs.fold(column[mask], block[mask])
+                obs.insert(column[mask], block[mask])
         self.pending_x = array("d")
         self.pending_y = array("d")
 
@@ -137,13 +131,9 @@ class MultiTargetHoeffdingTree:
     # -- leaf construction ------------------------------------------------
 
     def _new_observers(self) -> list:
-        obs = []
-        for i, f in enumerate(self.schema.features):
-            if f.kind == NOMINAL:
-                obs.append(NominalObserver(len(f.categories), self.schema.n_targets))
-            else:
-                obs.append(EBSTObserver(self.schema.n_targets))
-        return obs
+        d = self.schema.n_targets
+        return [NominalObserver(len(f.categories), d) if f.kind == NOMINAL else EBSTObserver(d)
+                for f in self.schema.features]
 
     def _new_leaf(self) -> LeafNode:
         stats = VectorStats(self.schema.n_features, self._numeric,
@@ -192,39 +182,38 @@ class MultiTargetHoeffdingTree:
     # -- the learner contract ----------------------------------------------
 
     def predict(self, instance: Instance) -> Prediction:
-        """Pure prediction: d finite values, no state change. Non-finite
-        numeric features count as missing; a numeric feature or a target that
-        is not a real number is a SchemaError, as in `learn`."""
-        schema = self.schema
-        schema.validate_instance(instance)
-        schema.targets_finite(instance)
-        instance = schema.nonfinite_as_missing(instance)
+        """Pure prediction: d finite values, no state change. Admission as in
+        `learn`, but a non-finite numeric feature counts as missing."""
+        return self._read(instance, self.schema.validate_instance(instance))
+
+    def learn(self, instance: Instance) -> None:
+        """Fold one example into exactly one leaf; attempt a split whenever
+        that leaf's example count reaches a multiple of the grace period. An
+        example that `StreamSchema.validate_instance` does not admit as
+        learnable is counted in `rejected_count`, never learned."""
+        self._learn_impl(instance, want_prediction=False)
+
+    def predict_then_learn(self, instance: Instance) -> Prediction:
+        """Prequential step: the returned prediction is exactly predict()'s,
+        and the state change exactly learn()'s, but the shared pre-update
+        work (admission, routing, standardization, candidates) runs once."""
+        return self._learn_impl(instance, want_prediction=True)
+
+    def _read(self, instance: Instance, learnable: bool) -> Prediction:
+        """`predict` after admission; an example that is not `learnable` is
+        read with its non-finite numeric features as missing."""
+        if not learnable:
+            instance = self.schema.nonfinite_as_missing(instance)
         leaf = self.route(instance)
         stats = leaf.stats
         x_std = stats.standardize_features(instance.features) if self._standardize else None
         predictors = leaf.predictors
         return predictors.select_from(predictors._candidates(x_std, stats))
 
-    def learn(self, instance: Instance) -> None:
-        """Fold one example into exactly one leaf; attempt a split whenever
-        that leaf's example count reaches a multiple of the grace period.
-        Examples with a non-finite target or numeric feature are rejected and
-        counted, never learned; one that is not a real number there is a
-        SchemaError."""
-        self._learn_impl(instance, want_prediction=False)
-
-    def predict_then_learn(self, instance: Instance) -> Prediction:
-        """Prequential step: the returned prediction is exactly predict()'s,
-        and the state change exactly learn()'s, but the shared pre-update
-        work (routing, standardization, candidate predictions) runs once."""
-        return self._learn_impl(instance, want_prediction=True)
-
     def _learn_impl(self, instance: Instance, want_prediction: bool):
-        schema = self.schema
-        schema.validate_instance(instance)
-        if not (schema.targets_finite(instance) and schema.features_finite(instance)):
+        if not self.schema.validate_instance(instance):
             self.rejected_count += 1
-            return self.predict(instance) if want_prediction else None
+            return self._read(instance, False) if want_prediction else None
         leaf, parent, child_index = self._descend(instance)
         features = instance.features
         y = instance.targets

@@ -101,7 +101,7 @@ def test_criterion_02_scan_matches_brute_force():
         for f in range(m):
             # one block per feature column, as a leaf folds its pending rows
             obs = EBSTObserver(d)
-            obs.fold(xs[:, f], block)
+            obs.insert(xs[:, f], block)
             cand = obs.best_splits(f, parent)
             if cand is not None and (best is None or cand.merit > best.merit):
                 best = cand

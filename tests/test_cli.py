@@ -176,6 +176,16 @@ class TestRun:
                      "variants must be a list", id="variants_not_list"),
         pytest.param(lambda doc: {**doc, "output_dir": 5},
                      "output_dir must be a string", id="output_dir_not_string"),
+        pytest.param(lambda doc: {**doc, "output_dir": 0},
+                     "output_dir must be a string", id="output_dir_zero"),
+        pytest.param(lambda doc: {**doc, "output_dir": False},
+                     "output_dir must be a string", id="output_dir_false"),
+        pytest.param(lambda doc: {**doc, "output_dir": ""},
+                     "output_dir must not be empty", id="output_dir_empty"),
+        pytest.param(lambda doc: {**doc, "varaints": ["mean"]},
+                     "run config: unknown key 'varaints'", id="top_level_unknown_key"),
+        pytest.param(lambda doc: {**doc, "datasets": [{**doc["datasets"][0], "colour": 1}]},
+                     "datasets[0]: unknown key 'colour'", id="dataset_unknown_key"),
         pytest.param(lambda doc: [doc], "must be an object", id="top_level_array"),
         pytest.param(_csv_entry("short.csv", schema=5),
                      "datasets[0].schema must be a path string or an object",
@@ -750,6 +760,15 @@ class TestGenerate:
                                     "family": "plane_mt", "n_examples": 20, "seed": 3}))
         assert main(["generate", "--config", str(path)]) == 0
         assert len((tmp_path / "streams" / "flat.csv").read_text().splitlines()) == 21
+
+    def test_nested_form_refuses_a_key_beside_the_generator(self, tmp_path, capsys):
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"name": "g", "seed": 99, "generator": {
+            "family": "plane_mt", "n_examples": 20, "seed": 3}}))
+        out = tmp_path / "streams"
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: generate config: unknown key 'seed'\n"
 
     @pytest.mark.parametrize("generator, message", [
         ({"family": "friedman_mt", "n_examples": 500, "drift": {"positions": [250.5]}},

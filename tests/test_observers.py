@@ -53,17 +53,22 @@ def candidate_merits(obs, parent):
             for i in np.flatnonzero(valid).tolist()]
 
 
+def insert_one(obs, v, y):
+    """Insert one (value, target vector) example as a one-row block."""
+    obs.insert(np.array([v], dtype=float), moment_block([y]))
+
+
 def build_observer(pairs, d):
     obs = EBSTObserver(d)
     for v, y in pairs:
-        obs.insert(v, y)
+        insert_one(obs, v, y)
     return obs
 
 
 class TestInsert:
     def test_first_insertion(self):
         obs = EBSTObserver(2)
-        obs.insert(1.0, (3.0, 4.0))
+        insert_one(obs, 1.0, (3.0, 4.0))
         assert obs.distinct_keys == 1
         # one column: count, sums, sums of squares
         assert obs.dump() == {"kind": "numeric", "keys": [1.0],
@@ -174,8 +179,8 @@ class TestDump:
     def test_each_dump_is_the_stored_block(self):
         numeric, nominal = EBSTObserver(2), NominalObserver(3, 2)
         block = moment_block([(1.0, 2.0), (3.0, -0.0), (0.5, 4.0)])
-        numeric.fold(np.array([-0.0, 2.5, 0.0]), block)
-        nominal.fold(np.array([2.0, 0.0, 2.0]), block)
+        numeric.insert(np.array([-0.0, 2.5, 0.0]), block)
+        nominal.insert(np.array([2.0, 0.0, 2.0]), block)
         assert numeric.dump() == {"kind": "numeric", "keys": numeric.keys.tolist(),
                                   "rows": numeric.rows.tolist()}
         assert nominal.dump() == {"kind": "nominal", "rows": nominal.rows.tolist()}
@@ -248,9 +253,9 @@ class TestBlockFold:
         numeric, nominal = EBSTObserver(2), NominalObserver(3, 2)
         for v, c, y in rows:
             if v is not None:
-                numeric.insert(v, y)
+                insert_one(numeric, v, y)
             if c is not None:
-                nominal.insert(c, y)
+                insert_one(nominal, c, y)
 
         leaf = LeafNode(None, [EBSTObserver(2), NominalObserver(3, 2)], None)
         for k, (v, c, y) in enumerate(rows):
@@ -273,8 +278,8 @@ class TestBlockFold:
 
 
 def unique_fold(keys, rows, values, block):
-    """`EBSTObserver.fold` as one stable np.unique merge and one np.add.at
-    into -0.0 columns: the reference the observer's fold matches bit for
+    """`EBSTObserver.insert` as one stable np.unique merge and one np.add.at
+    into -0.0 columns: the reference the observer's insert matches bit for
     bit."""
     n = len(keys)
     merged = np.concatenate((keys, values))
@@ -305,7 +310,7 @@ class TestFoldMatchesUniqueMerge:
             values = np.array([v for v, _ in block], dtype=float)
             moments = moment_block([y for _, y in block])
             keys, rows = unique_fold(keys, rows, values, moments)
-            obs.fold(values, moments)
+            obs.insert(values, moments)
             assert obs.keys.tobytes() == keys.tobytes()
             assert obs.rows.shape == rows.shape
             assert obs.rows.tobytes() == rows.tobytes()
@@ -313,11 +318,11 @@ class TestFoldMatchesUniqueMerge:
     def test_an_empty_block_changes_nothing(self):
         obs = EBSTObserver(2)
         empty = np.empty(0), np.empty((0, 5))
-        obs.fold(*empty)
+        obs.insert(*empty)
         assert obs.distinct_keys == 0 and obs.rows.shape == (5, 0)
-        obs.insert(1.0, (2.0, 3.0))
+        insert_one(obs, 1.0, (2.0, 3.0))
         keys, rows = obs.keys, obs.rows
-        obs.fold(*empty)
+        obs.insert(*empty)
         assert obs.keys.tobytes() == keys.tobytes()
         assert obs.rows.tobytes() == rows.tobytes()
 
@@ -326,9 +331,9 @@ class TestNominalObserver:
     def test_constant_but_different_categories(self):
         obs = NominalObserver(2, 1)
         for y in (0.0, 0.0):
-            obs.insert(0, (y,))
+            insert_one(obs, 0, (y,))
         for y in (2.0, 2.0):
-            obs.insert(1, (y,))
+            insert_one(obs, 1, (y,))
         parent = moments([(0.0,), (0.0,), (2.0,), (2.0,)])
         suggestion = obs.suggest(0, ParentStats(parent))
         assert suggestion.merit == pytest.approx(batch_icvar([(0.0,), (0.0,), (2.0,), (2.0,)]))
@@ -337,15 +342,15 @@ class TestNominalObserver:
 
     def test_single_observed_category(self):
         obs = NominalObserver(3, 1)
-        obs.insert(1, (5.0,))
-        obs.insert(1, (6.0,))
+        insert_one(obs, 1, (5.0,))
+        insert_one(obs, 1, (6.0,))
         assert obs.suggest(0, ParentStats(moments([(5.0,), (6.0,)]))) is None
 
     def test_uniform_targets_across_categories(self):
         obs = NominalObserver(2, 1)
         rows = [(0, 1.0), (0, 2.0), (1, 1.0), (1, 2.0)]
         for c, y in rows:
-            obs.insert(c, (y,))
+            insert_one(obs, c, (y,))
         parent = moments([(y,) for _, y in rows])
         # children replicate the parent distribution; the n-1 denominators
         # make the weighted child variance slightly exceed the parent's
@@ -356,7 +361,7 @@ class TestNominalObserver:
         obs = NominalObserver(4, 2)
         n = 200
         for _ in range(n):
-            obs.insert(int(rng.integers(0, 4)), tuple(rng.normal(size=2).tolist()))
+            insert_one(obs, int(rng.integers(0, 4)), tuple(rng.normal(size=2).tolist()))
         assert sum(obs.dump()["rows"][0]) == n
 
     def test_matches_batch_partition_oracle(self):
@@ -365,7 +370,7 @@ class TestNominalObserver:
                 for _ in range(150)]
         obs = NominalObserver(3, 2)
         for c, y in rows:
-            obs.insert(c, y)
+            insert_one(obs, c, y)
         parent = moments([y for _, y in rows])
         per_cat = [[y for c, y in rows if c == cat] for cat in range(3)]
         expected = batch_icvar([y for _, y in rows]) - sum(
@@ -379,7 +384,7 @@ class TestNominalObserver:
         rows = [(0, 0.0), (0, 1.0), (2, 2.0), (2, 4.0), (2, 3.0)]
         obs = NominalObserver(3, 1)
         for c, y in rows:
-            obs.insert(c, (y,))
+            insert_one(obs, c, (y,))
         parent = moments([(y,) for _, y in rows])
         suggestion = obs.suggest(0, ParentStats(parent))
         expected = batch_icvar([(y,) for _, y in rows]) \

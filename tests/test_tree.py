@@ -195,7 +195,11 @@ class TestLearnContract:
         ((0.1, "a"), (1.0,), "numeric feature 'x2' is not a real number: 'a'"),
         ((0.1, 0.2), (None,), "target 'y1' is not a real number: None"),
         ((0.1, 0.2), ("1.0",), "target 'y1' is not a real number: '1.0'"),
-    ], ids=["string_feature", "none_target", "string_target"])
+        ((0.1, "a"), (math.nan,), "numeric feature 'x2' is not a real number: 'a'"),
+        ((0.1, "a"), (math.inf,), "numeric feature 'x2' is not a real number: 'a'"),
+        ((0.1, "a"), ("b",), "target 'y1' is not a real number: 'b'"),
+    ], ids=["string_feature", "none_target", "string_target", "string_feature_nan_target",
+            "string_feature_inf_target", "string_feature_string_target"])
     def test_a_slot_that_is_not_a_number_is_a_schema_error(self, entry, features, targets,
                                                             slot):
         tree = MultiTargetHoeffdingTree(numeric_schema(2, 1), TreeConfig())
@@ -204,6 +208,17 @@ class TestLearnContract:
             getattr(tree, entry)(Instance(features=features, targets=targets))
         assert (tree.rejected_count, tree.examples_learned) == (0, 0)
         assert tree.serialize() == before
+
+    @pytest.mark.parametrize("entry", ["learn", "predict", "predict_then_learn"])
+    @pytest.mark.parametrize("targets", [(1.0,), (math.nan,)], ids=["learnable", "rejected"])
+    def test_each_entry_point_admits_an_example_once(self, monkeypatch, entry, targets):
+        admitted = []
+        validate = StreamSchema.validate_instance
+        monkeypatch.setattr(StreamSchema, "validate_instance",
+                            lambda schema, inst: admitted.append(inst) or validate(schema, inst))
+        tree = MultiTargetHoeffdingTree(numeric_schema(2, 1), TreeConfig())
+        getattr(tree, entry)(Instance(features=(0.1, 0.2), targets=targets))
+        assert len(admitted) == 1
 
     def test_fused_step_matches_predict_then_learn(self):
         instances = linear_instances(800, seed=12, noise=0.3)
