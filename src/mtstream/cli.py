@@ -480,12 +480,12 @@ def cmd_compare(args) -> int:
 
 def cmd_generate(args) -> int:
     doc = _load_json(args.config)
-    name = _file_name(doc.get("name", doc.get("family", "stream")), "name")
     if "generator" in doc:
         _check_keys(doc, ("name", "output_dir", "generator"), UsageError, "generate config: ")
     # the flat form keeps the generator keys beside the file's own
     flat = {k: v for k, v in doc.items() if k not in ("name", "output_dir")}
     spec = parse_generator_spec(doc.get("generator", flat), seed_override=args.seed)
+    name = _file_name(doc.get("name", spec.family), "name")
     out_dir = _resolve_out_dir(args.out, doc.get("output_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{name}.csv"

@@ -18,7 +18,7 @@ from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
-from .schema import SEED, Setting, check_settings, setting
+from .schema import SEED, Setting, check_settings, finite, setting
 from .tree import MultiTargetHoeffdingTree, TreeConfig
 
 
@@ -160,7 +160,7 @@ def run_prequential(source, tree_config: TreeConfig,
         except OverflowError:  # float ** 2 raises where x * x would give inf
             sqs = None
         if sqs is None or not isfinite(sum(sqs)):
-            if not all(map(isfinite, y)):
+            if not all(map(finite, y)):
                 continue  # non-finite target: rejected by the tree, not evaluated
             raise EvaluationError(f"{cell}: example {index} has finite targets but the "
                                   f"prediction {tuple(p)} has a non-finite squared error")

@@ -167,11 +167,11 @@ class StreamSchema:
         """Whether every target is finite; SchemaError naming the first
         target that is not a real number."""
         try:
-            return all(list(map(math.isfinite, inst.targets)))
+            return all(list(map(finite, inst.targets)))
         except TypeError:
             for name, v in zip(self.targets, inst.targets):
                 try:
-                    math.isfinite(v)
+                    finite(v)
                 except TypeError:
                     raise SchemaError(f"target {name!r} is not a real number: {v!r}") from None
             raise
@@ -180,17 +180,16 @@ class StreamSchema:
         """Whether every present numeric feature is finite; SchemaError
         naming the first one that is not a real number."""
         features = inst.features
-        isfinite = math.isfinite
-        finite = True
+        all_finite = True
         try:
             for i in self._numeric_cache:
                 v = features[i]
-                if v is not None and not isfinite(v):
-                    finite = False
+                if v is not None and not finite(v):
+                    all_finite = False
         except TypeError:
             raise SchemaError(f"numeric feature {self.features[i].name!r} is not a real "
                               f"number: {v!r}") from None
-        return finite
+        return all_finite
 
     def nonfinite_as_missing(self, inst: "Instance") -> "Instance":
         """A copy of `inst` with every non-finite numeric feature replaced by
@@ -198,9 +197,19 @@ class StreamSchema:
         features = list(inst.features)
         for i in self._numeric_cache:
             v = features[i]
-            if v is not None and not math.isfinite(v):
+            if v is not None and not finite(v):
                 features[i] = None
         return Instance(features=tuple(features), targets=inst.targets)
+
+
+def finite(value) -> bool:
+    """Whether the real number `value` is finite, the one finiteness rule of
+    admission: an int beyond float range is a real number whose float is
+    infinite, so it is not. TypeError when `value` is not a real number."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)

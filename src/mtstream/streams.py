@@ -1,11 +1,15 @@
 """Stream sources: seeded synthetic multi-target generators and CSV ingestion.
 
 Every source re-creates its random state when iteration starts, so replaying a
-source yields the identical instance sequence. Synthetic targets follow one
-shared pattern: a per-family base response combined per target through an
-affine map (a_t * base + b_t) plus Gaussian noise, which makes the targets of
-one stream linearly inter-correlated - the structure a stacked leaf layer can
-exploit.
+source yields the identical instance sequence.
+
+One class, `SyntheticStream`, generates every family of `FAMILIES`, where a
+family is a setup function and a block function. Targets follow one shared
+pattern: a per-family base response combined per target through an affine
+map (a_t * base + b_t) plus Gaussian noise, which makes the targets of one
+stream linearly inter-correlated - the structure a stacked leaf layer can
+exploit. The setup generator draws the affine coefficients, then the family's
+setup; the example generator draws each block's inputs, then its noise.
 
 The generator formulas below are documented reconstructions in the spirit of
 the classic benchmark tasks; they are specified fully by this module and make
@@ -67,9 +71,114 @@ class DriftSpec:
             raise ConfigError("synchronous drift takes exactly one position")
 
 
+# A family is two module-level functions, so that a stream pickles:
+#   setup(spec, rng) -> (schema, draws)
+#   block(draws, rng, position, count) -> (feature rows, base)
+# `position` is the stream index of the block's first example; `base` has
+# shape (count, d), or (count, 1) when every target shares it.
+
+
+def _friedman_setup(spec: GeneratorSpec, rng):
+    """Per target, the drift position and the columns of x used as x1..x5
+    before and after it; without drift the position is the stream's end."""
+    d = spec.n_targets
+    drift = spec.drift
+    before = [np.arange(5)] * d
+    if drift is None:
+        positions, after = [spec.n_examples] * d, before
+    elif drift.mode == SYNC:
+        positions, after = [drift.positions[0]] * d, [rng.permutation(5)] * d
+    else:
+        positions, after = list(drift.positions), [rng.permutation(5) for _ in range(d)]
+    return numeric_schema(10, d), (positions, before, after)
+
+
+def _friedman_block(draws, rng, position, count):
+    """Ten uniform [0, 1] inputs; five informative, five irrelevant. Optional
+    drift permutes the informative roles per target from a position onward.
+
+        base = 10*sin(pi*x1*x2) + 20*(x3 - 0.5)^2 + 10*x4 + 5*x5
+    """
+    positions, before, after = draws
+    x = rng.random((count, 10))
+    base = np.empty((count, len(positions)))
+    for t, pos in enumerate(positions):
+        switch = max(0, min(count, pos - position))
+        for rows, roles in ((slice(0, switch), before[t]), (slice(switch, count), after[t])):
+            xr = x[rows][:, roles]
+            base[rows, t] = (10.0 * np.sin(np.pi * xr[:, 0] * xr[:, 1])
+                             + 20.0 * (xr[:, 2] - 0.5) ** 2
+                             + 10.0 * xr[:, 3] + 5.0 * xr[:, 4])
+    return x.tolist(), base
+
+
+def _plane_setup(spec: GeneratorSpec, rng):
+    return numeric_schema(10, spec.n_targets), None
+
+
+def _plane_block(draws, rng, position, count):
+    """Piecewise-linear base over ternary inputs: x1 in {-1, 1} selects which
+    of two affine planes responds; x2..x10 are uniform over {-1, 0, 1}.
+
+        x1 = +1:  base = 3 + 3*x2 + 2*x3 + x4
+        x1 = -1:  base = -3 + 3*x5 + 2*x6 + x7
+    """
+    x = rng.integers(-1, 2, size=(count, 10)).astype(float)
+    x[:, 0] = np.where(rng.random(count) < 0.5, -1.0, 1.0)
+    up = 3.0 + 3.0 * x[:, 1] + 2.0 * x[:, 2] + x[:, 3]
+    down = -3.0 + 3.0 * x[:, 4] + 2.0 * x[:, 5] + x[:, 6]
+    return x.tolist(), np.where(x[:, 0] > 0, up, down)[:, None]
+
+
+_MV_CATEGORIES = (
+    ("a", "b", "c"),
+    ("low", "high"),
+    ("red", "green", "blue"),
+    ("yes", "no"),
+)
+_MV_OFFSETS = (
+    (0.0, 2.0, -2.0),
+    (0.0, 3.0),
+    (0.0, 1.0, -1.0),
+    (1.5, 0.0),
+)
+
+
+def _mv_setup(spec: GeneratorSpec, rng):
+    features = [FeatureSpec(f"x{i + 1}") for i in range(6)]
+    features += [FeatureSpec(f"c{i + 1}", kind=NOMINAL, categories=cats)
+                 for i, cats in enumerate(_MV_CATEGORIES)]
+    targets = tuple(f"y{i + 1}" for i in range(spec.n_targets))
+    return StreamSchema(features=tuple(features), targets=targets), None
+
+
+def _mv_block(draws, rng, position, count):
+    """Mixed-type inputs: six uniform [0, 1] numerics plus four nominals whose
+    categories shift the base response by fixed offsets.
+
+        base = 5*x1 - 3*x2 + 4*x3*x4 + 2*x5 - x6 + sum of category offsets
+    """
+    x = rng.random((count, 6))
+    cats = [rng.integers(0, len(c), size=count) for c in _MV_CATEGORIES]
+    base = (5.0 * x[:, 0] - 3.0 * x[:, 1] + 4.0 * x[:, 2] * x[:, 3]
+            + 2.0 * x[:, 4] - x[:, 5])
+    for i, offsets in enumerate(_MV_OFFSETS):
+        base += np.asarray(offsets)[cats[i]]
+    rows = [tuple(row) + labels
+            for row, labels in zip(x.tolist(), zip(*(c.tolist() for c in cats)))]
+    return rows, base[:, None]
+
+
+FAMILIES = {
+    "friedman_mt": (_friedman_setup, _friedman_block),
+    "plane_mt": (_plane_setup, _plane_block),
+    "mv_like": (_mv_setup, _mv_block),
+}
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
-    family: str = setting(("friedman_mt", "plane_mt", "mv_like"))
+    family: str = setting(tuple(FAMILIES))
     n_examples: int = setting(int, 10_000, low=1)
     n_targets: int = setting(int, 2, low=1)
     noise_sd: float = setting(float, 1.0, low=0.0)
@@ -95,12 +204,8 @@ class GeneratorSpec:
                 raise ConfigError("drift positions must lie strictly inside the stream")
 
 
-def make_stream(spec: GeneratorSpec):
-    if spec.family == "friedman_mt":
-        return FriedmanStream(spec)
-    if spec.family == "plane_mt":
-        return PlaneStream(spec)
-    return MVStream(spec)
+def make_stream(spec: GeneratorSpec) -> SyntheticStream:
+    return SyntheticStream(spec)
 
 
 def _draw_affine(spec: GeneratorSpec, rng: np.random.Generator):
@@ -113,167 +218,32 @@ def _draw_affine(spec: GeneratorSpec, rng: np.random.Generator):
     return list(zip(a.tolist(), b.tolist()))
 
 
-class _SyntheticStream:
-    """Common scaffolding: seeded setup draws, block-wise example generation."""
-
-    spec: GeneratorSpec
-    schema: StreamSchema
+class SyntheticStream:
+    """The seeded stream of one generator family, generated in blocks of
+    2048 examples."""
 
     def __init__(self, spec: GeneratorSpec):
         self.spec = spec
-        setup = np.random.default_rng(spec.seed)
-        self.target_affine = _draw_affine(spec, setup)
-        self._setup(setup)
-
-    def _setup(self, rng: np.random.Generator) -> None:  # pragma: no cover
-        raise NotImplementedError
+        setup_rng = np.random.default_rng(spec.seed)
+        self.target_affine = _draw_affine(spec, setup_rng)
+        self.schema, self._draws = FAMILIES[spec.family][0](spec, setup_rng)
 
     def __len__(self) -> int:
         return self.spec.n_examples
 
     def __iter__(self):
-        rng = np.random.default_rng((self.spec.seed, 1))
-        remaining = self.spec.n_examples
-        position = 0
-        while remaining > 0:
-            block = min(_BLOCK, remaining)
-            yield from self._generate(rng, position, block)
-            position += block
-            remaining -= block
-
-    def _generate(self, rng, position: int, count: int):  # pragma: no cover
-        raise NotImplementedError
-
-    def _targets(self, rng, base_by_target: np.ndarray) -> np.ndarray:
-        """Affine map plus noise; `base_by_target` has shape (count, d)."""
-        count, d = base_by_target.shape
-        out = np.empty_like(base_by_target)
-        for t, (a, b) in enumerate(self.target_affine):
-            out[:, t] = a * base_by_target[:, t] + b
-        if self.spec.noise_sd > 0:
-            out += rng.normal(0.0, self.spec.noise_sd, size=(count, d))
-        return out
-
-
-class FriedmanStream(_SyntheticStream):
-    """Ten uniform [0, 1] inputs; five informative, five irrelevant. Optional
-    drift permutes the informative roles per target from a position onward.
-
-        base = 10*sin(pi*x1*x2) + 20*(x3 - 0.5)^2 + 10*x4 + 5*x5
-    """
-
-    N_FEATURES = 10
-
-    def _setup(self, rng):
-        self.schema = numeric_schema(self.N_FEATURES, self.spec.n_targets)
-        d = self.spec.n_targets
-        drift = self.spec.drift
-        # role maps: columns of x used as (x1..x5) per target, before/after
-        self._roles_before = [np.arange(5)] * d
-        if drift is None:
-            self._positions = [self.spec.n_examples] * d
-            self._roles_after = self._roles_before
-        elif drift.mode == SYNC:
-            perm = rng.permutation(5)
-            self._positions = [drift.positions[0]] * d
-            self._roles_after = [perm] * d
-        else:
-            self._positions = list(drift.positions)
-            self._roles_after = [rng.permutation(5) for _ in range(d)]
-
-    def _generate(self, rng, position, count):
-        x = rng.random((count, self.N_FEATURES))
-        base = np.empty((count, self.spec.n_targets))
-        sin = np.sin
-        for t in range(self.spec.n_targets):
-            pos = self._positions[t]
-            for phase_rows, roles in (
-                (slice(0, max(0, min(count, pos - position))), self._roles_before[t]),
-                (slice(max(0, min(count, pos - position)), count), self._roles_after[t]),
-            ):
-                xr = x[phase_rows][:, roles]
-                if xr.shape[0] == 0:
-                    continue
-                base[phase_rows, t] = (
-                    10.0 * sin(np.pi * xr[:, 0] * xr[:, 1])
-                    + 20.0 * (xr[:, 2] - 0.5) ** 2
-                    + 10.0 * xr[:, 3] + 5.0 * xr[:, 4]
-                )
-        y = self._targets(rng, base)
-        for row, targets in zip(x.tolist(), y.tolist()):
-            yield Instance(features=tuple(row), targets=tuple(targets))
-
-
-class PlaneStream(_SyntheticStream):
-    """Piecewise-linear base over ternary inputs: x1 in {-1, 1} selects which
-    of two affine planes responds; x2..x10 are uniform over {-1, 0, 1}.
-
-        x1 = +1:  base = 3 + 3*x2 + 2*x3 + x4
-        x1 = -1:  base = -3 + 3*x5 + 2*x6 + x7
-    """
-
-    N_FEATURES = 10
-
-    def _setup(self, rng):
-        self.schema = numeric_schema(self.N_FEATURES, self.spec.n_targets)
-
-    def _generate(self, rng, position, count):
-        x = rng.integers(-1, 2, size=(count, self.N_FEATURES)).astype(float)
-        x[:, 0] = np.where(rng.random(count) < 0.5, -1.0, 1.0)
-        up = 3.0 + 3.0 * x[:, 1] + 2.0 * x[:, 2] + x[:, 3]
-        down = -3.0 + 3.0 * x[:, 4] + 2.0 * x[:, 5] + x[:, 6]
-        base = np.where(x[:, 0] > 0, up, down)
-        y = self._targets(rng, np.tile(base[:, None], (1, self.spec.n_targets)))
-        for row, targets in zip(x.tolist(), y.tolist()):
-            yield Instance(features=tuple(row), targets=tuple(targets))
-
-
-_MV_CATEGORIES = (
-    ("a", "b", "c"),
-    ("low", "high"),
-    ("red", "green", "blue"),
-    ("yes", "no"),
-)
-_MV_OFFSETS = (
-    (0.0, 2.0, -2.0),
-    (0.0, 3.0),
-    (0.0, 1.0, -1.0),
-    (1.5, 0.0),
-)
-
-
-class MVStream(_SyntheticStream):
-    """Mixed-type inputs: six uniform [0, 1] numerics plus four nominals whose
-    categories shift the base response by fixed offsets.
-
-        base = 5*x1 - 3*x2 + 4*x3*x4 + 2*x5 - x6 + sum of category offsets
-    """
-
-    N_NUMERIC = 6
-
-    def _setup(self, rng):
-        features = [FeatureSpec(f"x{i + 1}") for i in range(self.N_NUMERIC)]
-        features += [
-            FeatureSpec(f"c{i + 1}", kind=NOMINAL, categories=cats)
-            for i, cats in enumerate(_MV_CATEGORIES)
-        ]
-        self.schema = StreamSchema(
-            features=tuple(features),
-            targets=tuple(f"y{i + 1}" for i in range(self.spec.n_targets)),
-        )
-
-    def _generate(self, rng, position, count):
-        x = rng.random((count, self.N_NUMERIC))
-        cats = [rng.integers(0, len(c), size=count) for c in _MV_CATEGORIES]
-        base = (5.0 * x[:, 0] - 3.0 * x[:, 1] + 4.0 * x[:, 2] * x[:, 3]
-                + 2.0 * x[:, 4] - x[:, 5])
-        for i, offsets in enumerate(_MV_OFFSETS):
-            base += np.asarray(offsets)[cats[i]]
-        y = self._targets(rng, np.tile(base[:, None], (1, self.spec.n_targets)))
-        cat_cols = [c.tolist() for c in cats]
-        for r, (row, targets) in enumerate(zip(x.tolist(), y.tolist())):
-            features = tuple(row) + tuple(int(col[r]) for col in cat_cols)
-            yield Instance(features=features, targets=tuple(targets))
+        spec = self.spec
+        block = FAMILIES[spec.family][1]
+        a, b = np.array(self.target_affine).T
+        rng = np.random.default_rng((spec.seed, 1))
+        for position in range(0, spec.n_examples, _BLOCK):
+            count = min(_BLOCK, spec.n_examples - position)
+            rows, base = block(self._draws, rng, position, count)
+            y = base * a + b  # a (count, 1) base is every target's
+            if spec.noise_sd > 0:
+                y += rng.normal(0.0, spec.noise_sd, size=(count, spec.n_targets))
+            for features, targets in zip(rows, y.tolist()):
+                yield Instance(tuple(features), tuple(targets))
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +346,12 @@ class CsvStream:
         return positions
 
     def _parse_feature(self, spec: FeatureSpec, raw: str):
-        if raw == "":
+        """None for an empty field, or for the sentinel in an opted-in column."""
+        sentinel = self.decl.sentinel_value
+        if raw == "" or (sentinel is not None and spec.name in self.decl.sentinel_columns
+                         and _parses_as(raw, sentinel)):
             return None
         if spec.kind == NOMINAL:
-            if (self.decl.sentinel_value is not None
-                    and spec.name in self.decl.sentinel_columns
-                    and _parses_as(raw, self.decl.sentinel_value)):
-                return None
             try:
                 return spec.categories.index(raw)
             except ValueError:
@@ -391,10 +360,6 @@ class CsvStream:
             value = float(raw)
         except ValueError:
             raise _RowError(f"unparsable numeric {raw!r} for {spec.name!r}")
-        if (self.decl.sentinel_value is not None
-                and spec.name in self.decl.sentinel_columns
-                and value == self.decl.sentinel_value):
-            return None
         if not math.isfinite(value):
             raise _RowError(f"non-finite value {raw!r} for {spec.name!r}")
         return value

@@ -761,6 +761,18 @@ class TestGenerate:
         assert main(["generate", "--config", str(path)]) == 0
         assert len((tmp_path / "streams" / "flat.csv").read_text().splitlines()) == 21
 
+    @pytest.mark.parametrize("doc", [
+        {"family": "plane_mt", "n_examples": 5},
+        {"generator": {"family": "plane_mt", "n_examples": 5}},
+    ], ids=["flat", "nested"])
+    def test_file_name_defaults_to_the_family(self, tmp_path, doc):
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "streams"
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["plane_mt.csv",
+                                                         "plane_mt.csv.schema.json"]
+
     def test_nested_form_refuses_a_key_beside_the_generator(self, tmp_path, capsys):
         path = tmp_path / "gen.json"
         path.write_text(json.dumps({"name": "g", "seed": 99, "generator": {

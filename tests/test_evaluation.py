@@ -224,7 +224,10 @@ class TestRunPrequential:
         assert report.elapsed_s > 0
         assert all(r.elapsed_s <= report.elapsed_s for r in report.rows)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [
+        math.nan, math.inf, -math.inf,
+        pytest.param(10**400, id="int_beyond_float"),
+        pytest.param(-10**400, id="negative_int_beyond_float")])
     def test_non_finite_target_is_skipped(self, bad):
         config = PrequentialConfig(window=50, warm_start=100, seeds=(0,))
         report = run_prequential(with_target(fried(400), 300, bad),

@@ -1,12 +1,15 @@
-"""Behaviour pins: sha256 digests of trees, predictions and one report.
+"""Behaviour pins: sha256 digests of trees, predictions, one report and the
+generator streams.
 
 Every (generator family, variant) cell of a small fixed matrix trains one tree
 with `predict_then_learn` and is pinned by two digests: one over
 `serialize()` followed by the repr of every prediction, and one over
 `serialize_skeleton()`. One prequential report is pinned by its metric
-columns (all but `elapsed_s`). A refactor that keeps behaviour keeps every
-digest; one that changes floating-point order anywhere on the learn path
-changes some. A change of behaviour on purpose updates the table and says so
+columns (all but `elapsed_s`). Each stream of a second matrix, which covers
+every generator family, streams of more than two generation blocks, drift and
+explicit target coefficients, is pinned by a digest over every example. A
+refactor that keeps behaviour keeps every digest; one that changes
+floating-point order anywhere on the learn path changes some. A change of behaviour on purpose updates the table and says so
 in CHANGES.md.
 
 The digests were computed with Python 3.11.7 and numpy 2.4.6 on x86-64
@@ -18,11 +21,12 @@ with `PYTHONPATH=src python tests/test_pins.py`.
 from __future__ import annotations
 
 import hashlib
+import pickle
 
 import pytest
 
-from mtstream import (GeneratorSpec, MultiTargetHoeffdingTree, PrequentialConfig,
-                      TreeConfig, Variant, make_stream, read_csv,
+from mtstream import (DriftSpec, GeneratorSpec, MultiTargetHoeffdingTree,
+                      PrequentialConfig, TreeConfig, Variant, make_stream, read_csv,
                       run_prequential, write_csv)
 from mtstream.evaluation import read_report_csv, write_report_csv
 
@@ -114,6 +118,54 @@ SKELETON = {
 
 REPORT = 'd90c43ce06ab97fa16530bf9aef6ca6e2f34e12e418ed519b229ddc772713957'
 
+# 5000 examples span three generation blocks of 2048; drift positions fall
+# inside a block and on the first block boundary
+STREAM_SPECS = {
+    "friedman_mt": GeneratorSpec(family="friedman_mt", n_examples=5000, n_targets=3,
+                                 noise_sd=0.5, seed=13),
+    "plane_mt": GeneratorSpec(family="plane_mt", n_examples=5000, n_targets=3,
+                              noise_sd=0.5, seed=13),
+    "mv_like": GeneratorSpec(family="mv_like", n_examples=5000, n_targets=3,
+                             noise_sd=0.5, seed=13),
+    "friedman_mt synchronous drift": GeneratorSpec(
+        family="friedman_mt", n_examples=4500, n_targets=2, seed=7,
+        drift=DriftSpec(positions=(2048,))),
+    "friedman_mt asynchronous drift": GeneratorSpec(
+        family="friedman_mt", n_examples=4500, n_targets=3, seed=7,
+        drift=DriftSpec(positions=(700, 2048, 3333), mode="asynchronous")),
+    "plane_mt noiseless": GeneratorSpec(family="plane_mt", n_examples=2100, n_targets=2,
+                                        noise_sd=0.0, seed=0),
+    "mv_like explicit affine": GeneratorSpec(
+        family="mv_like", n_examples=4200, n_targets=2, noise_sd=0.25, seed=0,
+        target_affine=((1.5, -2.0), (-0.5, 3.0))),
+}
+
+
+def stream_digest(source) -> str:
+    """Digest of `repr((features, targets))` over every example of `source`."""
+    digest = hashlib.sha256()
+    for instance in source:
+        digest.update(repr((instance.features, instance.targets)).encode())
+    return digest.hexdigest()
+
+
+STREAM = {
+    'friedman_mt':
+        '85aafc7400446fb69702c43b09564b1ea6d579e0db443d55fd9d6f2738b980e1',
+    'plane_mt':
+        'ba26cc1384dd1aade33656e6f03fe58b996031b94cfe341e8a845a886d88334d',
+    'mv_like':
+        '4dad2cc395037f08c85675edb41a865d14ce487b7faa9454be153a6d04384be4',
+    'friedman_mt synchronous drift':
+        '2ecb7fcd757873a45bd4d34acf1160d54d8f572f4b57256b9c7c7703be55f9d9',
+    'friedman_mt asynchronous drift':
+        '562a3d0f9addff5e9b7792240b8f1812a2ec607b81a01c1faf54d28f6b59f381',
+    'plane_mt noiseless':
+        '0477e1ef44e4a0913e599cd39c2a6ed9fd9c59a73412a04476b8468d7346aafa',
+    'mv_like explicit affine':
+        '1ebd5f0027adb2e51dac21f78b4e9bcb7c6a853bfa86288f5d8062ee7dc29573',
+}
+
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
@@ -125,6 +177,15 @@ def test_cell_digests(family, variant):
 
 def test_report_metric_columns(tmp_path):
     assert report_digest(tmp_path) == REPORT
+
+
+@pytest.mark.parametrize("name", STREAM_SPECS)
+def test_stream_digests(name):
+    """Every example of each stream is pinned, and a pickled copy of the
+    stream yields the same examples."""
+    source = make_stream(STREAM_SPECS[name])
+    assert stream_digest(source) == STREAM[name]
+    assert stream_digest(pickle.loads(pickle.dumps(source))) == STREAM[name]
 
 
 if __name__ == "__main__":
@@ -144,3 +205,7 @@ if __name__ == "__main__":
     print("}\n")
     with tempfile.TemporaryDirectory() as tmp:
         print(f"REPORT = {report_digest(Path(tmp))!r}")
+    print("\nSTREAM = {")
+    for name, spec in STREAM_SPECS.items():
+        print(f"    {name!r}:\n        {stream_digest(make_stream(spec))!r},")
+    print("}")

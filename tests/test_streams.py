@@ -277,13 +277,18 @@ class TestCsvRoundTrip:
         assert [(r.features, r.targets) for r in rows] == [((1.0,), (2.0,))]
 
     def test_sentinel_maps_to_missing_only_where_opted_in(self, tmp_path):
+        """On either feature kind, the sentinel in an opted-in column is
+        missing. Elsewhere it is a number, or, in a nominal column, an
+        unknown category that skips the row."""
         path = tmp_path / "sent.csv"
-        path.write_text("x1,x2,y\n-1,-1,3.0\n")
-        decl = {"features": [{"name": "x1"}, {"name": "x2"}], "targets": ["y"],
-                "sentinel_value": -1, "sentinel_columns": ["x1"]}
-        inst = collect(read_csv(path, decl))[0]
-        assert inst.features[0] is None
-        assert inst.features[1] == -1.0
+        path.write_text("x1,x2,c1,c2,y\n-1,-1,-1,a,3.0\n-1,-1,-1.0,-1,4.0\n")
+        nominal = {"kind": "nominal", "categories": ["a", "b"]}
+        decl = {"features": [{"name": "x1"}, {"name": "x2"},
+                             {"name": "c1", **nominal}, {"name": "c2", **nominal}],
+                "targets": ["y"], "sentinel_value": -1, "sentinel_columns": ["x1", "c1"]}
+        source = read_csv(path, decl)
+        assert [inst.features for inst in collect(source)] == [(None, -1.0, None, 0)]
+        assert source.skipped_rows == 1
 
     def test_unknown_category_label_skips_row(self, tmp_path):
         path = tmp_path / "cat.csv"

@@ -97,14 +97,23 @@ def test_every_traced_layer_runs(tmp_path, monkeypatch):
 
 
 def test_cells_iterate_a_traced_stream_class(tmp_path, monkeypatch):
-    """The benchmark times each example a cell draws by wrapping `__iter__`
-    on the classes that `mtstream.streams` defines; a stream class kept
-    elsewhere, or one that inherits `__iter__`, would book that time
-    silently as evaluation self time."""
+    """The benchmark times each example a cell draws, or that a prequential
+    run draws straight from `make_stream`, by wrapping `__iter__` on the
+    classes that `mtstream.streams` defines; a stream class kept elsewhere,
+    or one that inherits `__iter__`, would book that time silently as
+    evaluation self time."""
     import json
 
     from mtstream import cli, streams
 
+    def assert_traced(source):
+        cls = type(source)
+        assert cls.__module__ == streams.__name__
+        assert vars(streams)[cls.__name__] is cls
+        assert "__iter__" in vars(cls)
+
+    for family in ("friedman_mt", "plane_mt", "mv_like"):
+        assert_traced(make_stream(GeneratorSpec(family=family, n_examples=10)))
     sources = []
     run_cell = cli._run_cell
     monkeypatch.setattr(cli, "_run_cell",
@@ -119,10 +128,7 @@ def test_cells_iterate_a_traced_stream_class(tmp_path, monkeypatch):
                      "--jobs", "1"]) == 0
     assert sources
     for source in sources:
-        cls = type(source)
-        assert cls.__module__ == streams.__name__
-        assert vars(streams)[cls.__name__] is cls
-        assert "__iter__" in vars(cls)
+        assert_traced(source)
         assert hasattr(source, "skipped_rows")
 
 

@@ -148,7 +148,10 @@ class TestLearnContract:
         tree = MultiTargetHoeffdingTree(numeric_schema(2, 1), TreeConfig())
         tree.learn(Instance(features=(0.1, 0.2), targets=(math.nan,)))
         tree.learn(Instance(features=(0.1, 0.2), targets=(math.inf,)))
-        assert tree.rejected_count == 2
+        for bad in (10**400, -10**400):  # a real number whose float is infinite
+            tree.learn(Instance(features=(0.1, 0.2), targets=(bad,)))
+            tree.predict_then_learn(Instance(features=(0.1, 0.2), targets=(bad,)))
+        assert tree.rejected_count == 6
         assert tree.examples_learned == 0
         assert tree.root.examples_seen == 0
 
@@ -165,11 +168,13 @@ class TestLearnContract:
 
     def test_nonfinite_numerics_predict_as_missing(self):
         tree = grown_tree(step_instances(1000), numeric_schema(4, 2))
-        for bad in (math.nan, math.inf, -math.inf):
+        for bad in (math.nan, math.inf, -math.inf, 10**400, -10**400):
             assert tree.predict(Instance(features=(bad, 0.3, 0.2, 0.1), targets=(0.0, 0.0))) \
                 == tree.predict(Instance(features=(None, 0.3, 0.2, 0.1), targets=(0.0, 0.0)))
         tree.learn(Instance(features=(0.2, math.inf, 0.2, 0.1), targets=(1.0, 1.0)))
-        assert tree.rejected_count == 1
+        tree.learn(Instance(features=(0.2, 10**400, 0.2, 0.1), targets=(1.0, 1.0)))
+        tree.predict_then_learn(Instance(features=(0.2, -10**400, 0.2, 0.1), targets=(1.0, 1.0)))
+        assert tree.rejected_count == 3
 
     def test_missing_feature_values_skip_stats_and_observers(self):
         tree = MultiTargetHoeffdingTree(numeric_schema(2, 1), TreeConfig())
